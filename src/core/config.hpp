@@ -92,7 +92,9 @@ struct SimConfig {
 };
 
 /// Reads a positive integer from the environment (workload scaling knobs
-/// like IRMC_TOPOLOGIES); returns `fallback` when unset or invalid.
+/// like IRMC_TOPOLOGIES); returns `fallback` when unset. A set but
+/// malformed, non-positive or out-of-range value prints an error and
+/// exits with status 2, like a bad CLI flag.
 int EnvInt(const std::string& name, int fallback);
 
 }  // namespace irmc

@@ -55,6 +55,8 @@ FlitEngine::FlitEngine(Engine& engine, const System& sys,
     c.dst_port_index = static_cast<int>(PortIdx(at.sw, at.port));
   }
   inject_queues_.resize(static_cast<std::size_t>(sys.num_nodes()));
+  busy_channels_.Resize(channels_.size());
+  injecting_nodes_.Resize(inject_queues_.size());
 }
 
 void FlitEngine::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
@@ -69,6 +71,7 @@ void FlitEngine::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
   }
   inject_queues_[static_cast<std::size_t>(n)].emplace_back(std::move(pkt),
                                                            ready);
+  injecting_nodes_.Set(static_cast<std::size_t>(n));
   ScheduleTick(ready);
 }
 
@@ -176,6 +179,8 @@ void FlitEngine::KillBranch(int bid) {
       }
     }
   }
+  if (c.waiting.empty() && c.active_branch == -1)
+    busy_channels_.Reset(static_cast<std::size_t>(b.channel));
   // Flits on the wire evaporate.
   std::size_t kept = 0;
   for (InFlight& entry : in_flight_)
@@ -271,15 +276,15 @@ void FlitEngine::Tick() {
 
 bool FlitEngine::Busy(Cycles now) const {
   if (!in_flight_.empty() || !pending_port_release_.empty() ||
-      !route_queue_.empty())
+      !route_queue_.empty() || busy_channels_.Any())
     return true;
-  for (const Channel& c : channels_)
-    if (c.active_branch != -1 || !c.waiting.empty()) return true;
   // Future-ready injections do not keep the engine ticking: their
   // InjectFromNi scheduled a wake-up at `ready` already.
-  for (const auto& q : inject_queues_)
-    if (!q.empty() && q.front().second <= now) return true;
-  return false;
+  bool ready = false;
+  injecting_nodes_.ForEach([&](std::size_t n) {
+    ready = ready || inject_queues_[n].front().second <= now;
+  });
+  return ready;
 }
 
 // --- cycle phases ---
@@ -347,12 +352,12 @@ void FlitEngine::LandFlits(Cycles now) {
 }
 
 void FlitEngine::PumpInjections(Cycles now) {
-  for (NodeId n = 0; n < sys_->num_nodes(); ++n) {
-    auto& q = inject_queues_[static_cast<std::size_t>(n)];
-    if (q.empty()) continue;
+  injecting_nodes_.ForEach([&](std::size_t node) {
+    const auto n = static_cast<NodeId>(node);
+    auto& q = inject_queues_[node];
     Channel& c = channels_[InjChannel(n)];
-    if (c.active_branch != -1 || !c.waiting.empty()) continue;
-    if (q.front().second > now) continue;
+    if (c.active_branch != -1 || !c.waiting.empty()) return;
+    if (q.front().second > now) return;
     // Source-side pseudo-worm: all flits available at `ready`.
     Worm w;
     w.pkt = q.front().first;
@@ -373,8 +378,10 @@ void FlitEngine::PumpInjections(Cycles now) {
     const int bid = static_cast<int>(branches_.size()) - 1;
     worms_[static_cast<std::size_t>(worm_id)].branch_ids.push_back(bid);
     c.waiting.push_back(bid);
+    busy_channels_.Set(InjChannel(n));
     q.pop_front();
-  }
+    if (q.empty()) injecting_nodes_.Reset(node);
+  });
 }
 
 void FlitEngine::RouteWorms(Cycles now) {
@@ -448,14 +455,20 @@ void FlitEngine::RouteWorms(Cycles now) {
       const int bid = static_cast<int>(branches_.size()) - 1;
       worms_[static_cast<std::size_t>(wi)].branch_ids.push_back(bid);
       c.waiting.push_back(bid);
+      busy_channels_.Set(static_cast<std::size_t>(b.channel));
     }
   }
 }
 
 void FlitEngine::MoveFlits(Cycles now) {
-  for (std::size_t ci = 0; ci < channels_.size(); ++ci) {
+  // Ascending channel order is part of the model: a branch that frees
+  // flits of worm W this cycle hands W's feeder a credit it can use this
+  // same cycle only if the feeder's channel comes later in the walk, and
+  // flits land next cycle in the order they move here. Dead channels
+  // never appear here: FailLink empties them.
+  busy_channels_.ForEach([&](std::size_t ci) {
+    if (frozen_) return;  // the deadlock handler fired mid-walk
     Channel& c = channels_[ci];
-    if (c.dead_since != kNever) continue;  // FailLink emptied it
     if (c.active_branch == -1 && !c.waiting.empty()) {
       // Grant the branch that has been ready longest; break same-cycle
       // ties by input port — the same engine-independent rule as the VCT
@@ -482,11 +495,11 @@ void FlitEngine::MoveFlits(Cycles now) {
                         static_cast<std::ptrdiff_t>(best));
       }
     }
-    if (c.active_branch == -1) continue;
+    if (c.active_branch == -1) return;
     BranchState& b = branches_[static_cast<std::size_t>(c.active_branch)];
     Worm& src = worms_[static_cast<std::size_t>(b.src_worm)];
     // Flit availability at the source buffer (not a credit stall).
-    if (b.consumed >= src.received) continue;
+    if (b.consumed >= src.received) return;
     // Downstream space (credit).
     if (c.dst_port_index >= 0 && b.sink == kInvalidNode) {
       InputPort& ip = inputs_[static_cast<std::size_t>(c.dst_port_index)];
@@ -508,11 +521,9 @@ void FlitEngine::MoveFlits(Cycles now) {
         if (m_blocked_) m_blocked_->Add();
         if (b.stall_len == 0) b.stall_begin = now;
         ++b.stall_len;
-        if (b.stall_len > params_.deadlock_horizon) {
+        if (b.stall_len > params_.deadlock_horizon)
           DeadlockTrip(now, c.active_branch);
-          if (frozen_) return;  // handler consumed the trip; stop moving
-        }
-        continue;
+        return;
       }
     }
     CloseStreak(b);
@@ -527,6 +538,7 @@ void FlitEngine::MoveFlits(Cycles now) {
     if (is_tail) {
       b.done = true;
       c.active_branch = -1;
+      if (c.waiting.empty()) busy_channels_.Reset(ci);
       if (--src.live_branches == 0 && src.port_index >= 0) {
         // All branches drained: free the input port at the *start of the
         // next cycle* (the tail flit leaves the buffer this cycle),
@@ -542,7 +554,7 @@ void FlitEngine::MoveFlits(Cycles now) {
       if (!other.done) min_consumed = std::min(min_consumed, other.consumed);
     }
     src.freed = std::max(src.freed, std::min(min_consumed, src.received));
-  }
+  });
 }
 
 void FlitEngine::CloseStreak(BranchState& b) {

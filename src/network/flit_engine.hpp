@@ -24,6 +24,7 @@
 // naming every stuck worm and the port it blocks on.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -188,6 +189,32 @@ class FlitEngine final : public NetworkModel {
     Cycles lands = 0;
   };
 
+  /// Ordered bitset worklist: ForEach visits the set bits in ascending
+  /// index, and the visitor may clear the bit it is visiting.
+  class Worklist {
+   public:
+    void Resize(std::size_t n) { words_.assign((n + 63) / 64, 0); }
+    void Set(std::size_t i) { words_[i / 64] |= Bit(i); }
+    void Reset(std::size_t i) { words_[i / 64] &= ~Bit(i); }
+    bool Any() const {
+      for (std::uint64_t w : words_)
+        if (w != 0) return true;
+      return false;
+    }
+    template <typename Fn>
+    void ForEach(Fn&& fn) const {
+      for (std::size_t wi = 0; wi < words_.size(); ++wi)
+        for (std::uint64_t bits = words_[wi]; bits != 0; bits &= bits - 1)
+          fn(wi * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+
+   private:
+    static std::uint64_t Bit(std::size_t i) {
+      return std::uint64_t{1} << (i % 64);
+    }
+    std::vector<std::uint64_t> words_;
+  };
+
   // --- indexing helpers (same layout as the Fabric) ---
   std::size_t PortIdx(SwitchId s, PortId p) const {
     return static_cast<std::size_t>(s) * static_cast<std::size_t>(ports_) +
@@ -281,6 +308,9 @@ class FlitEngine final : public NetworkModel {
   std::vector<InFlight> in_flight_;
   std::deque<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
   std::vector<std::deque<std::pair<PacketPtr, Cycles>>> inject_queues_;
+  // Worklists the cycle phases walk instead of every channel and node.
+  Worklist busy_channels_;   ///< channels with an active or waiting branch
+  Worklist injecting_nodes_; ///< nodes with a non-empty injection queue
   std::vector<int> pending_port_release_;
 
   DeadlockHandler on_deadlock_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
+#include "core/config.hpp"
+
 namespace irmc {
 namespace {
 
@@ -88,6 +93,53 @@ TEST(Args, HasChecksPresence) {
   const Args args = ParseVec({"x", "--a", "1"});
   EXPECT_TRUE(args.Has("a"));
   EXPECT_FALSE(args.Has("b"));
+}
+
+// --- IRMC_* environment knobs (EnvInt) ---
+
+constexpr const char* kKnob = "IRMC_TEST_ENV_INT_KNOB";
+
+/// Sets (or with nullptr unsets) the test knob; unsets it on scope exit.
+struct KnobGuard {
+  explicit KnobGuard(const char* value) {
+    if (value != nullptr)
+      setenv(kKnob, value, 1);
+    else
+      unsetenv(kKnob);
+  }
+  ~KnobGuard() { unsetenv(kKnob); }
+};
+
+TEST(EnvInt, UnsetFallsBack) {
+  const KnobGuard guard(nullptr);
+  EXPECT_EQ(EnvInt(kKnob, 7), 7);
+}
+
+TEST(EnvInt, ReadsPositiveIntegers) {
+  {
+    const KnobGuard guard("4");
+    EXPECT_EQ(EnvInt(kKnob, 7), 4);
+  }
+  {
+    const KnobGuard guard("2147483647");
+    EXPECT_EQ(EnvInt(kKnob, 7), 2147483647);
+  }
+}
+
+TEST(EnvIntDeathTest, RejectsMalformedNonPositiveAndOutOfRange) {
+  for (const std::string bad :
+       {"abc", "4x", "0", "-2", "", "2147483648", "4294967297",
+        "99999999999999999999999"}) {
+    EXPECT_EXIT(
+        {
+          setenv(kKnob, bad.c_str(), 1);
+          EnvInt(kKnob, 7);
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid value for IRMC_TEST_ENV_INT_KNOB: '" + bad +
+            "' \\(accepted: positive integer\\)")
+        << "value '" << bad << "'";
+  }
 }
 
 }  // namespace
