@@ -34,10 +34,12 @@ std::map<NodeId, Cycles> RunVct(const System& sys, const PacketPtr& pkt) {
   NetParams params;
   params.adaptive = false;
   std::map<NodeId, Cycles> tails;
+  MetricsRegistry reg;
   Fabric fabric(engine, sys, params,
                 [&](NodeId n, const PacketPtr&, Cycles, Cycles t) {
                   tails[n] = t;
-                });
+                },
+                reg);
   fabric.InjectFromNi(0, std::make_shared<Packet>(*pkt), 0);
   engine.RunToQuiescence();
   return tails;
@@ -50,10 +52,12 @@ std::map<NodeId, Cycles> RunFlitLevel(const System& sys, const PacketPtr& pkt,
   params.adaptive = false;
   params.buffer_flits = buffer_flits;
   std::map<NodeId, Cycles> tails;
+  MetricsRegistry reg;
   FlitEngine flit(engine, sys, params,
                   [&](NodeId n, const PacketPtr&, Cycles, Cycles t) {
                     tails[n] = t;
-                  });
+                  },
+                  reg);
   flit.InjectFromNi(0, std::make_shared<Packet>(*pkt), 0);
   engine.RunToQuiescence();
   return tails;
@@ -122,10 +126,12 @@ int main() {
     params.adaptive = false;
     params.buffer_flits = buffer;
     Cycles probe_tail = 0;
+    MetricsRegistry reg;
     FlitEngine flit(engine, spur_sys, params,
                     [&](NodeId n, const PacketPtr&, Cycles, Cycles t) {
                       if (n == 3) probe_tail = t;
-                    });
+                    },
+                    reg);
     flit.InjectFromNi(1, mk(1, 2, 128), 0);  // blocker: holds B->C first
     flit.InjectFromNi(0, mk(0, 2, 128), 4);  // victim: blocks behind it at B
     flit.InjectFromNi(0, mk(0, 3, 16), 8);   // probe: same source, spur dest

@@ -4,14 +4,12 @@
 // speed so the load sweeps stay tractable.
 //
 // After the google-benchmark suites, a custom main times an identical
-// load sweep point on each engine (and, for the VCT engine, with
-// metrics collection on and off), reports everything in events/sec
-// side by side, times the static deadlock analysis throughput, and
-// writes BENCH_perfE.json (to IRMC_METRICS_DIR, default "bench-out/")
-// with both engine series, the analysis runtime, and the measured
-// metrics overhead. Overhead above 5% prints a FAIL line but exits 0 —
-// the gate is informational; timing noise on shared CI runners must not
-// turn it into a flake.
+// load sweep point on each engine, reports both in events/sec side by
+// side, times the static deadlock analysis throughput, and writes
+// BENCH_perfE.json (to IRMC_METRICS_DIR, default "bench-out/") with
+// both engine series and the analysis runtime. Metrics are always on;
+// what recording costs is gated deterministically by perfbench's
+// allocs_per_op (perfbench/README.md), not by a timing here.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -135,8 +133,7 @@ void BM_LoadSweepEventRate(benchmark::State& state) {
 BENCHMARK(BM_LoadSweepEventRate)->Arg(1)->Arg(4)->UseRealTime();
 
 // ---------------------------------------------------------------------
-// Engine comparison + metrics-overhead gate (custom main, after the
-// google-benchmark run).
+// Engine comparison (custom main, after the google-benchmark run).
 
 /// One timed pass over a load sweep point. Returns (events, seconds).
 struct TimedSweep {
@@ -147,7 +144,7 @@ struct TimedSweep {
   }
 };
 
-TimedSweep TimeSweep(EngineKind engine, bool collect_metrics) {
+TimedSweep TimeSweep(EngineKind engine) {
   LoadRunSpec spec;
   spec.cfg.engine = engine;
   spec.scheme = SchemeKind::kTreeWorm;
@@ -156,7 +153,6 @@ TimedSweep TimeSweep(EngineKind engine, bool collect_metrics) {
   spec.topologies = 4;
   spec.warmup = 5'000;
   spec.horizon = 60'000;
-  spec.collect_metrics = collect_metrics;
   const auto t0 = std::chrono::steady_clock::now();
   const LoadRunResult r = RunLoadSweepPoint(spec);
   const auto t1 = std::chrono::steady_clock::now();
@@ -214,10 +210,8 @@ std::string SweepJson(const TimedSweep& s) {
 /// timing values themselves are machine-dependent, which is exactly
 /// what a perf ledger records — cross-machine comparisons should raise
 /// --threshold rather than expect byte equality.
-void AppendPerfLedgerRecord(const TimedSweep& vct, const TimedSweep& off,
-                            const TimedSweep& flit,
-                            const TimedAnalysis& analysis,
-                            double overhead_pct) {
+void AppendPerfLedgerRecord(const TimedSweep& vct, const TimedSweep& flit,
+                            const TimedAnalysis& analysis) {
   const std::string path = report::DefaultLedgerPath();
   if (path.empty()) return;
   report::RunInfo info;
@@ -228,8 +222,7 @@ void AppendPerfLedgerRecord(const TimedSweep& vct, const TimedSweep& off,
   info.config =
       "degree=8 horizon=60000 load=0.29999999999999999 reps=3 "
       "scheme=tree-worm topologies=4 warmup=5000";
-  info.wall_seconds = vct.seconds + off.seconds + flit.seconds +
-                      analysis.seconds;
+  info.wall_seconds = vct.seconds + flit.seconds + analysis.seconds;
   MetricsRegistry m;
   m.GetCounter("perf.vct.events").value =
       static_cast<std::int64_t>(vct.events);
@@ -237,8 +230,6 @@ void AppendPerfLedgerRecord(const TimedSweep& vct, const TimedSweep& off,
       static_cast<std::int64_t>(flit.events);
   m.GetGauge("perf.vct.events_per_sec").Set(vct.EventsPerSec());
   m.GetGauge("perf.flit.events_per_sec").Set(flit.EventsPerSec());
-  m.GetGauge("perf.metrics_off.events_per_sec").Set(off.EventsPerSec());
-  m.GetGauge("perf.metrics_overhead_pct").Set(overhead_pct);
   m.GetGauge("perf.deadlock.topologies_per_sec").Set(analysis.PerSec());
   if (!report::AppendRecord(path,
                             report::RunRecordJson(info, report::SeriesData{},
@@ -246,41 +237,28 @@ void AppendPerfLedgerRecord(const TimedSweep& vct, const TimedSweep& off,
     std::fprintf(stderr, "cannot append run record to %s\n", path.c_str());
 }
 
-/// Times the same load sweep point on both engines side by side, plus
-/// the VCT engine with metrics off (best of kReps each, alternating so
-/// thermal/frequency drift hits every mode), prints the comparison, and
-/// writes BENCH_perfE.json with both engine series. Always returns 0.
-int RunEngineComparisonAndMetricsGate() {
+/// Times the same load sweep point on both engines side by side (best
+/// of kReps each, alternating so thermal/frequency drift hits both),
+/// prints the comparison, and writes BENCH_perfE.json with both engine
+/// series. Always returns 0.
+int RunEngineComparison() {
   constexpr int kReps = 3;
-  constexpr double kGatePct = 5.0;
   SetParallelThreads(1);  // serial: wall time == work, no scheduler noise
-  TimeSweep(EngineKind::kVct, true);   // warm caches/allocator
-  TimeSweep(EngineKind::kFlit, true);  // before measuring
-  TimedSweep best_on, best_off, best_flit;
+  TimeSweep(EngineKind::kVct);   // warm caches/allocator
+  TimeSweep(EngineKind::kFlit);  // before measuring
+  TimedSweep best_vct, best_flit;
   for (int rep = 0; rep < kReps; ++rep) {
-    const TimedSweep on = TimeSweep(EngineKind::kVct, true);
-    const TimedSweep off = TimeSweep(EngineKind::kVct, false);
-    const TimedSweep flit = TimeSweep(EngineKind::kFlit, true);
-    if (rep == 0 || on.seconds < best_on.seconds) best_on = on;
-    if (rep == 0 || off.seconds < best_off.seconds) best_off = off;
+    const TimedSweep vct = TimeSweep(EngineKind::kVct);
+    const TimedSweep flit = TimeSweep(EngineKind::kFlit);
+    if (rep == 0 || vct.seconds < best_vct.seconds) best_vct = vct;
     if (rep == 0 || flit.seconds < best_flit.seconds) best_flit = flit;
   }
   SetParallelThreads(0);  // restore IRMC_THREADS / hardware default
 
   std::printf("engine speed (same sweep point): vct %.3g events/s in %.3gs, "
               "flit %.3g events/s in %.3gs\n",
-              best_on.EventsPerSec(), best_on.seconds,
+              best_vct.EventsPerSec(), best_vct.seconds,
               best_flit.EventsPerSec(), best_flit.seconds);
-
-  const double overhead_pct =
-      best_off.seconds > 0.0
-          ? 100.0 * (best_on.seconds - best_off.seconds) / best_off.seconds
-          : 0.0;
-  const bool pass = overhead_pct <= kGatePct;
-  std::printf("metrics overhead: on %.3g events/s, off %.3g events/s, "
-              "%+.2f%% (gate %.0f%%) -- %s\n",
-              best_on.EventsPerSec(), best_off.EventsPerSec(), overhead_pct,
-              kGatePct, pass ? "PASS" : "FAIL (informational)");
 
   const TimedAnalysis analysis = TimeDeadlockAnalysis();
   std::printf("static deadlock analysis: %d topologies in %.3gs "
@@ -292,21 +270,14 @@ int RunEngineComparisonAndMetricsGate() {
   if (!dir.empty()) {
     std::filesystem::create_directories(dir);
     std::string json = "{\"bench\":\"perfE_simspeed\",";
-    json += "\"engines\":{\"vct\":" + SweepJson(best_on) +
+    json += "\"engines\":{\"vct\":" + SweepJson(best_vct) +
             ",\"flit\":" + SweepJson(best_flit) + "},";
     char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "\"gate_pct\":%.17g,\"metrics_on\":", kGatePct);
-    json += buf;
-    json += SweepJson(best_on) + ",\"metrics_off\":" + SweepJson(best_off);
     std::snprintf(
         buf, sizeof buf,
-        ",\"deadlock_analysis\":{\"topologies\":%d,\"seconds\":%.17g,"
-        "\"topologies_per_sec\":%.17g}",
+        "\"deadlock_analysis\":{\"topologies\":%d,\"seconds\":%.17g,"
+        "\"topologies_per_sec\":%.17g}}\n",
         analysis.topologies, analysis.seconds, analysis.PerSec());
-    json += buf;
-    std::snprintf(buf, sizeof buf, ",\"overhead_pct\":%.17g,\"pass\":%s}\n",
-                  overhead_pct, pass ? "true" : "false");
     json += buf;
     const std::string path = dir + "/BENCH_perfE.json";
     if (!WriteFile(path, json))
@@ -314,8 +285,7 @@ int RunEngineComparisonAndMetricsGate() {
     else
       std::printf("wrote %s\n", path.c_str());
   }
-  AppendPerfLedgerRecord(best_on, best_off, best_flit, analysis,
-                         overhead_pct);
+  AppendPerfLedgerRecord(best_vct, best_flit, analysis);
   return 0;
 }
 
@@ -326,5 +296,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return RunEngineComparisonAndMetricsGate();
+  return RunEngineComparison();
 }

@@ -1,6 +1,9 @@
 #include "common/args.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -45,19 +48,33 @@ std::string Args::GetString(const std::string& key,
 long Args::GetInt(const std::string& key, long fallback) const {
   consumed_[key] = true;
   auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty()) return fallback;
+  if (it == values_.end()) return fallback;
+  const std::string& s = it->second;
   char* end = nullptr;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (s.empty() || *end != '\0' || errno == ERANGE) Reject(key, s, "integer");
+  return v;
 }
 
 double Args::GetDouble(const std::string& key, double fallback) const {
   consumed_[key] = true;
   auto it = values_.find(key);
-  if (it == values_.end() || it->second.empty()) return fallback;
+  if (it == values_.end()) return fallback;
+  const std::string& s = it->second;
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end != nullptr && *end == '\0') ? v : fallback;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+    Reject(key, s, "finite number");
+  return v;
+}
+
+int Args::GetIntAtLeast(const std::string& key, int fallback, int min) const {
+  const long v = GetInt(key, fallback);
+  if (v < min || v > INT_MAX)
+    Reject(key, std::to_string(v), "integer >= " + std::to_string(min));
+  return static_cast<int>(v);
 }
 
 std::string Args::GetChoice(const std::string& key, const std::string& fallback,
@@ -72,8 +89,13 @@ std::string Args::GetChoice(const std::string& key, const std::string& fallback,
     if (!accepted.empty()) accepted += ", ";
     accepted += a;
   }
+  Reject(key, it->second, accepted);
+}
+
+void Args::Reject(const std::string& key, const std::string& value,
+                  const std::string& accepted) {
   std::fprintf(stderr, "invalid value for --%s: '%s' (accepted: %s)\n",
-               key.c_str(), it->second.c_str(), accepted.c_str());
+               key.c_str(), value.c_str(), accepted.c_str());
   std::exit(2);
 }
 

@@ -25,8 +25,14 @@ class Args {
 
   std::string GetString(const std::string& key,
                         const std::string& fallback) const;
+  /// Numeric options return `fallback` when the key is absent. A value
+  /// that is present but does not parse completely (`2x`, `abc`, an
+  /// empty flag form) or is out of range exits with status 2 via
+  /// Reject, so a typo never silently runs the default.
   long GetInt(const std::string& key, long fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
+  /// GetInt for an int-sized option that must be at least `min`.
+  int GetIntAtLeast(const std::string& key, int fallback, int min) const;
   bool GetFlag(const std::string& key) const;
 
   /// Enum-valued option: the provided value must be one of `allowed`,
@@ -35,6 +41,13 @@ class Args {
   /// default). Returns `fallback` when the key is absent.
   std::string GetChoice(const std::string& key, const std::string& fallback,
                         const std::vector<std::string>& allowed) const;
+
+  /// Prints `invalid value for --KEY: 'VALUE' (accepted: ACCEPTED)` and
+  /// exits with status 2 — the one rejection path for bad option
+  /// values, also used by callers for cross-option checks.
+  [[noreturn]] static void Reject(const std::string& key,
+                                  const std::string& value,
+                                  const std::string& accepted);
 
   /// True when `--version` was passed (consumed). Every CLI checks this
   /// first and prints VersionLine(tool) + the BuildInfo JSON

@@ -7,44 +7,43 @@ namespace irmc {
 McastDriver::McastDriver(Engine& engine, const System& sys,
                          const SimConfig& cfg, Tracer* tracer,
                          MetricsRegistry* metrics)
-    : engine_(engine), sys_(&sys), cfg_(cfg), tracer_(tracer) {
-  if (metrics) {
-    m_.has = true;
-    m_.launched = &metrics->GetCounter("mcast.launched");
-    m_.completed = &metrics->GetCounter("mcast.completed");
-    m_.latency = &metrics->GetHistogram("mcast.latency");
-    m_.dests = &metrics->GetHistogram("mcast.dests");
-    m_.worms = &metrics->GetCounter("mcast.worms");
-    m_.forward_phases = &metrics->GetCounter("mcast.forward_phases");
-    m_.host_cycles = &metrics->GetCounter("host.cycles");
-    m_.host_sends = &metrics->GetCounter("host.sends");
-    m_.ni_cycles = &metrics->GetCounter("ni.cycles");
-    m_.ni_forward_copies = &metrics->GetCounter("ni.forward_copies");
-    m_.io_dma_cycles = &metrics->GetCounter("io.dma_cycles");
-    m_.io_dma_transfers = &metrics->GetCounter("io.dma_transfers");
-  }
+    : engine_(engine),
+      sys_(&sys),
+      cfg_(cfg),
+      tracer_(tracer),
+      owned_metrics_(metrics ? nullptr : std::make_unique<MetricsRegistry>()),
+      metrics_(metrics ? *metrics : *owned_metrics_) {
+  m_.launched = &metrics_.GetCounter("mcast.launched");
+  m_.completed = &metrics_.GetCounter("mcast.completed");
+  m_.latency = &metrics_.GetHistogram("mcast.latency");
+  m_.dests = &metrics_.GetHistogram("mcast.dests");
+  m_.worms = &metrics_.GetCounter("mcast.worms");
+  m_.forward_phases = &metrics_.GetCounter("mcast.forward_phases");
+  m_.host_cycles = &metrics_.GetCounter("host.cycles");
+  m_.host_sends = &metrics_.GetCounter("host.sends");
+  m_.ni_cycles = &metrics_.GetCounter("ni.cycles");
+  m_.ni_forward_copies = &metrics_.GetCounter("ni.forward_copies");
+  m_.io_dma_cycles = &metrics_.GetCounter("io.dma_cycles");
+  m_.io_dma_transfers = &metrics_.GetCounter("io.dma_transfers");
   nodes_.resize(static_cast<std::size_t>(sys.num_nodes()));
   network_ = MakeNetworkModel(
       cfg.engine, engine, sys, cfg.net,
       [this](NodeId n, const PacketPtr& pkt, Cycles head, Cycles tail) {
         OnDeliver(n, pkt, head, tail);
       },
-      tracer, metrics);
+      metrics_, tracer);
   if (cfg_.resilience.enabled) {
-    if (metrics) {
-      m_.r_drops = &metrics->GetCounter("resilience.drops");
-      m_.r_retransmits = &metrics->GetCounter("resilience.retransmits");
-      m_.r_duplicates = &metrics->GetCounter("resilience.duplicates");
-      m_.r_acks = &metrics->GetCounter("resilience.acks");
-      m_.r_degraded =
-          &metrics->GetCounter("resilience.degraded_deliveries");
-    }
+    m_.r_drops = &metrics_.GetCounter("resilience.drops");
+    m_.r_retransmits = &metrics_.GetCounter("resilience.retransmits");
+    m_.r_duplicates = &metrics_.GetCounter("resilience.duplicates");
+    m_.r_acks = &metrics_.GetCounter("resilience.acks");
+    m_.r_degraded = &metrics_.GetCounter("resilience.degraded_deliveries");
     network_->SetDropHandler(
         [this](const PacketPtr& pkt, Cycles now, SwitchId where) {
           OnDrop(pkt, now, where);
         });
     resilience_ = std::make_unique<ResilienceManager>(
-        engine, *network_, sys, cfg_, tracer, metrics,
+        engine, *network_, sys, cfg_, tracer, metrics_,
         [this](const System& s) { sys_ = &s; });
   }
 }
@@ -69,10 +68,8 @@ std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
         static_cast<int>(w));
   if (cfg_.resilience.enabled)
     exec->acked.assign(static_cast<std::size_t>(sys_->num_nodes()), false);
-  if (m_.has) {
-    m_.launched->Add();
-    m_.dests->Add(exec->remaining);
-  }
+  m_.launched->Add();
+  m_.dests->Add(exec->remaining);
   Exec* raw = exec.get();
   live_.emplace(id, std::move(exec));
   engine_.ScheduleAt(when, [this, raw]() { StartSource(*raw); });
@@ -115,17 +112,13 @@ void McastDriver::ConventionalSendToOne(Exec& exec, NodeId u, NodeId c,
   const Cycles h = nr.host_cpu.Reserve(earliest, hp.o_host) + hp.o_host;
   const Cycles ni = nr.ni_cpu.Reserve(h, hp.o_ni) + hp.o_ni;
   const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
-  if (m_.has) {
-    m_.host_sends->Add();
-    m_.host_cycles->Add(hp.o_host);
-    m_.ni_cycles->Add(hp.o_ni);
-  }
+  m_.host_sends->Add();
+  m_.host_cycles->Add(hp.o_host);
+  m_.ni_cycles->Add(hp.o_ni);
   for (int j = 0; j < exec.shape.num_packets; ++j) {
     const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
-    if (m_.has) {
-      m_.io_dma_cycles->Add(dma_dur);
-      m_.io_dma_transfers->Add();
-    }
+    m_.io_dma_cycles->Add(dma_dur);
+    m_.io_dma_transfers->Add();
     auto pkt = MakeBasePacket(exec, j);
     pkt->kind = HeaderKind::kUnicast;
     pkt->uni_dest = c;
@@ -147,26 +140,20 @@ void McastDriver::SmartSourceSend(Exec& exec) {
   const Cycles h = nr.host_cpu.Reserve(engine_.Now(), hp.o_host) + hp.o_host;
   const Cycles ni = nr.ni_cpu.Reserve(h, hp.o_ni) + hp.o_ni;
   const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
-  if (m_.has) {
-    m_.host_sends->Add();
-    m_.host_cycles->Add(hp.o_host);
-    m_.ni_cycles->Add(hp.o_ni);
-  }
+  m_.host_sends->Add();
+  m_.host_cycles->Add(hp.o_host);
+  m_.ni_cycles->Add(hp.o_ni);
   const auto& kids = exec.plan.children[static_cast<std::size_t>(u)];
   for (int j = 0; j < exec.shape.num_packets; ++j) {
     const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
-    if (m_.has) {
-      m_.io_dma_cycles->Add(dma_dur);
-      m_.io_dma_transfers->Add();
-    }
+    m_.io_dma_cycles->Add(dma_dur);
+    m_.io_dma_transfers->Add();
     for (NodeId c : kids) {
       const Cycles ready = nr.ni_cpu.Reserve(std::max(ni, dma_done),
                                              hp.ni_forward_overhead) +
                            hp.ni_forward_overhead;
-      if (m_.has) {
-        m_.ni_cycles->Add(hp.ni_forward_overhead);
-        m_.ni_forward_copies->Add();
-      }
+      m_.ni_cycles->Add(hp.ni_forward_overhead);
+      m_.ni_forward_copies->Add();
       auto pkt = MakeBasePacket(exec, j);
       pkt->kind = HeaderKind::kUnicast;
       pkt->uni_dest = c;
@@ -188,10 +175,8 @@ void McastDriver::SmartForward(Exec& exec, NodeId u, int pkt_index,
     const Cycles ready = nr.ni_cpu.Reserve(std::max(ni_ready, tail),
                                            hp.ni_forward_overhead) +
                          hp.ni_forward_overhead;
-    if (m_.has) {
-      m_.ni_cycles->Add(hp.ni_forward_overhead);
-      m_.ni_forward_copies->Add();
-    }
+    m_.ni_cycles->Add(hp.ni_forward_overhead);
+    m_.ni_forward_copies->Add();
     auto pkt = MakeBasePacket(exec, pkt_index);
     pkt->kind = HeaderKind::kUnicast;
     pkt->uni_dest = c;
@@ -208,11 +193,9 @@ void McastDriver::SendTreeWorms(Exec& exec) {
   const Cycles h = nr.host_cpu.Reserve(engine_.Now(), hp.o_host) + hp.o_host;
   const Cycles ni = nr.ni_cpu.Reserve(h, hp.o_ni) + hp.o_ni;
   const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
-  if (m_.has) {
-    m_.host_sends->Add();
-    m_.host_cycles->Add(hp.o_host);
-    m_.ni_cycles->Add(hp.o_ni);
-  }
+  m_.host_sends->Add();
+  m_.host_cycles->Add(hp.o_host);
+  m_.ni_cycles->Add(hp.o_ni);
 
   // Default: one worm addressing the full set; chunked plans carry one
   // region (and header size) per worm. All worms leave back to back —
@@ -234,13 +217,11 @@ void McastDriver::SendTreeWorms(Exec& exec) {
                  exec.plan.tree_region_header_flits[r]});
   }
 
-  if (m_.has) m_.worms->Add(static_cast<std::int64_t>(regions.size()));
+  m_.worms->Add(static_cast<std::int64_t>(regions.size()));
   for (int j = 0; j < exec.shape.num_packets; ++j) {
     const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
-    if (m_.has) {
-      m_.io_dma_cycles->Add(dma_dur);
-      m_.io_dma_transfers->Add();
-    }
+    m_.io_dma_cycles->Add(dma_dur);
+    m_.io_dma_transfers->Add();
     for (const Region& region : regions) {
       auto pkt = MakeBasePacket(exec, j);
       pkt->kind = HeaderKind::kTreeWorm;
@@ -263,18 +244,14 @@ void McastDriver::SendWormsOf(Exec& exec, NodeId sender, Cycles earliest) {
     TraceHost(TraceKind::kSendStart, exec.id, sender, w);
     const Cycles h = nr.host_cpu.Reserve(earliest, hp.o_host) + hp.o_host;
     const Cycles ni = nr.ni_cpu.Reserve(h, hp.o_ni) + hp.o_ni;
-    if (m_.has) {
-      m_.worms->Add();
-      m_.host_sends->Add();
-      m_.host_cycles->Add(hp.o_host);
-      m_.ni_cycles->Add(hp.o_ni);
-    }
+    m_.worms->Add();
+    m_.host_sends->Add();
+    m_.host_cycles->Add(hp.o_host);
+    m_.ni_cycles->Add(hp.o_ni);
     for (int j = 0; j < exec.shape.num_packets; ++j) {
       const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
-      if (m_.has) {
-        m_.io_dma_cycles->Add(dma_dur);
-        m_.io_dma_transfers->Add();
-      }
+      m_.io_dma_cycles->Add(dma_dur);
+      m_.io_dma_transfers->Add();
       auto pkt = MakeBasePacket(exec, j);
       pkt->kind = HeaderKind::kPathWorm;
       pkt->path = worm.route;
@@ -318,7 +295,7 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
     if (st.got.empty())
       st.got.assign(static_cast<std::size_t>(acct.shape.num_packets), false);
     if (st.delivered || st.got[static_cast<std::size_t>(pkt->pkt_index)]) {
-      if (m_.has) m_.r_duplicates->Add();
+      m_.r_duplicates->Add();
       return;
     }
     st.got[static_cast<std::size_t>(pkt->pkt_index)] = true;
@@ -332,7 +309,7 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
   // Per-message NI receive overhead on the first packet.
   const Cycles ni_done =
       first ? nr.ni_cpu.Reserve(head, hp.o_ni) + hp.o_ni : head;
-  if (m_.has && first) m_.ni_cycles->Add(hp.o_ni);
+  if (first) m_.ni_cycles->Add(hp.o_ni);
 
   // Smart-NI forwarding happens at the NI, before/parallel to host DMA.
   // A forwarding node's phase costs both the receive and the send o_ni
@@ -344,14 +321,14 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
     if (hp.ni_discipline == NiDiscipline::kFpfs) {
       const Cycles fwd_ready =
           first ? nr.ni_cpu.Reserve(ni_done, hp.o_ni) + hp.o_ni : ni_done;
-      if (m_.has && first) m_.ni_cycles->Add(hp.o_ni);
+      if (first) m_.ni_cycles->Add(hp.o_ni);
       SmartForward(exec, n, pkt->pkt_index, fwd_ready, tail);
     } else if (st.pkts == exec.shape.num_packets) {
       // Store-and-forward at message granularity: every packet's copies
       // are enqueued only once the whole message is at the NI (the
       // baseline FPFS was shown to beat).
       const Cycles fwd_ready = nr.ni_cpu.Reserve(ni_done, hp.o_ni) + hp.o_ni;
-      if (m_.has) m_.ni_cycles->Add(hp.o_ni);
+      m_.ni_cycles->Add(hp.o_ni);
       for (int j = 0; j < exec.shape.num_packets; ++j)
         SmartForward(exec, n, j, fwd_ready, tail);
     }
@@ -362,16 +339,14 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
   const Cycles dma_done =
       nr.io_bus.Reserve(std::max(tail, ni_done), dma_dur) + dma_dur;
   st.last_dma = std::max(st.last_dma, dma_done);
-  if (m_.has) {
-    m_.io_dma_cycles->Add(dma_dur);
-    m_.io_dma_transfers->Add();
-  }
+  m_.io_dma_cycles->Add(dma_dur);
+  m_.io_dma_transfers->Add();
 
   if (st.pkts == acct.shape.num_packets) {
     // Whole message in host memory: per-message host receive overhead.
     const Cycles delivered =
         nr.host_cpu.Reserve(st.last_dma, hp.o_host) + hp.o_host;
-    if (m_.has) m_.host_cycles->Add(hp.o_host);
+    m_.host_cycles->Add(hp.o_host);
     const std::int64_t acct_id = acct.id;
     const std::int64_t wave_id = exec.id;
     engine_.ScheduleAt(delivered, [this, acct_id, wave_id, n, delivered]() {
@@ -394,7 +369,7 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
   --exec.remaining;
   if (exec.delivered) exec.delivered(n, when);
   if (cfg_.resilience.enabled) {
-    if (m_.has && resilience_ && resilience_->degraded())
+    if (resilience_ && resilience_->degraded())
       m_.r_degraded->Add();
     // Out-of-band delivery ack back to the root (modelled reliable).
     engine_.ScheduleAt(when + cfg_.resilience.ack_delay,
@@ -412,22 +387,20 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
   }
   if (wave != nullptr) {
     if (wave->plan.scheme == SchemeKind::kUnicastBinomial) {
-      if (m_.has && !wave->plan.children[static_cast<std::size_t>(n)].empty())
+      if (!wave->plan.children[static_cast<std::size_t>(n)].empty())
         m_.forward_phases->Add();
       SendToChildren(*wave, n, when);
     }
     if (wave->plan.scheme == SchemeKind::kPathWorm) {
-      if (m_.has && wave->worms_by_sender.count(n) > 0)
+      if (wave->worms_by_sender.count(n) > 0)
         m_.forward_phases->Add();
       SendWormsOf(*wave, n, when);
     }
   }
 
   if (exec.remaining == 0) {
-    if (m_.has) {
-      m_.completed->Add();
-      m_.latency->Add(exec.result.completion - exec.result.start);
-    }
+    m_.completed->Add();
+    m_.latency->Add(exec.result.completion - exec.result.start);
     if (exec.done) exec.done(exec.result);
     // Defer destruction: we may still be inside this exec's call chain.
     // In resilience mode the family instead retires when the last ack
@@ -442,7 +415,7 @@ void McastDriver::OnDrop(const PacketPtr& pkt, Cycles now, SwitchId where) {
   if (tracer_)
     tracer_->Record(TraceEvent{now, TraceKind::kDrop, pkt->mcast_id,
                                pkt->pkt_index, pkt->src, where});
-  if (m_.has) m_.r_drops->Add();
+  m_.r_drops->Add();
   auto it = live_.find(pkt->mcast_id);
   if (it == live_.end()) return;  // family already retired
   Exec& acct = AcctOf(*it->second);
@@ -464,7 +437,7 @@ void McastDriver::OnAck(std::int64_t id, NodeId n) {
   if (exec.acked[static_cast<std::size_t>(n)]) return;
   exec.acked[static_cast<std::size_t>(n)] = true;
   ++exec.acked_count;
-  if (m_.has) m_.r_acks->Add();
+  m_.r_acks->Add();
   if (exec.acked_count == exec.result.num_dests) CleanupFamily(id);
 }
 
@@ -481,7 +454,7 @@ void McastDriver::RepairRound(std::int64_t id) {
   ++acct.attempts;
   IRMC_ENSURE(acct.attempts <= cfg_.resilience.max_retransmits &&
               "resilience: retransmit cap exceeded — faults outran recovery");
-  if (m_.has) m_.r_retransmits->Add();
+  m_.r_retransmits->Add();
   LaunchRepairWave(acct, std::move(missing));
   // Next round after an exponentially backed-off timeout (no-op once
   // everything acks).

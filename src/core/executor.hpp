@@ -63,11 +63,12 @@ class McastDriver {
   /// Per-destination notification: (destination, host delivery time).
   using DeliveredFn = std::function<void(NodeId, Cycles)>;
 
-  /// `metrics` (optional, also handed to the owned engine) receives the
-  /// host/NI/I-O overhead accounting and per-multicast metrics — see
-  /// docs/metrics.md. Both the registry and the tracer are per-trial
-  /// state (each Trial owns its own), so neither forces serial trial
-  /// execution.
+  /// `metrics` (also handed to the owned engine) receives the host/NI/I-O
+  /// overhead accounting and per-multicast metrics — see docs/metrics.md.
+  /// Null binds the driver to a registry it owns (see metrics()), so
+  /// recording never depends on the caller. Both the registry and the
+  /// tracer are per-trial state (each Trial owns its own), so neither
+  /// forces serial trial execution.
   McastDriver(Engine& engine, const System& sys, const SimConfig& cfg,
               Tracer* tracer = nullptr, MetricsRegistry* metrics = nullptr);
 
@@ -81,6 +82,9 @@ class McastDriver {
                       DeliveredFn delivered = nullptr);
 
   NetworkModel& network() { return *network_; }
+  /// The registry everything records into: the caller's, or the
+  /// driver's own when constructed with a null registry.
+  MetricsRegistry& metrics() { return metrics_; }
   NodeRuntime& node(NodeId n) {
     return nodes_[static_cast<std::size_t>(n)];
   }
@@ -170,10 +174,8 @@ class McastDriver {
           TraceEvent{engine_.Now(), kind, mcast_id, 0, actor, detail});
   }
 
-  /// Hot-path metric slots resolved once at construction; `has` false
-  /// (no registry) skips all recording.
+  /// Hot-path metric slots resolved once at construction.
   struct DriverMetrics {
-    bool has = false;
     Counter* launched = nullptr;         ///< mcast.launched
     Counter* completed = nullptr;        ///< mcast.completed
     Histogram* latency = nullptr;        ///< mcast.latency
@@ -198,6 +200,9 @@ class McastDriver {
   const System* sys_;  ///< re-pointed on Autonet reconfiguration
   SimConfig cfg_;
   Tracer* tracer_;
+  /// Set only when constructed without a registry.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
+  MetricsRegistry& metrics_;
   DriverMetrics m_;
   std::vector<NodeRuntime> nodes_;
   std::unique_ptr<NetworkModel> network_;

@@ -29,10 +29,10 @@ struct TopologyRun {
   SampleSet latencies;
 
   TopologyRun(const LoadRunSpec& s, const System& system, std::uint64_t seed,
-              Tracer* tracer, MetricsRegistry* metrics)
+              Tracer* tracer, MetricsRegistry& metrics)
       : spec(s),
         sys(system),
-        driver(engine, system, s.cfg, tracer, metrics),
+        driver(engine, system, s.cfg, tracer, &metrics),
         scheme(MakeScheme(s.scheme, s.cfg.host)) {
     const double flits = static_cast<double>(s.cfg.message.TotalFlits());
     interarrival_mean =
@@ -149,20 +149,16 @@ LoadRunResult RunLoadSweepPoint(const LoadRunSpec& spec) {
   const auto body = [&spec](const TrialContext& ctx) {
     TrialOutcome out;
     const TrialSetup setup =
-        PrepareTrial(out, ctx, spec.cfg.topology, spec.collect_metrics,
-                     spec.tracer, spec.trace_cap);
-    MetricsRegistry* reg = setup.metrics;
+        PrepareTrial(out, ctx, spec.cfg.topology, spec.tracer, spec.trace_cap);
     Tracer* trace = setup.tracer;
     const auto& sys = setup.sys;
     TopologyRun run(spec, *sys,
                     spec.cfg.seed * 104729 +
                         static_cast<std::uint64_t>(ctx.trial_index),
-                    trace, reg);
+                    trace, out.metrics);
     run.Run();
-    if (reg) {
-      run.engine.CollectMetrics(*reg);
-      run.driver.network().CollectMetrics(run.engine.Now());
-    }
+    run.engine.CollectMetrics(out.metrics);
+    run.driver.network().CollectMetrics(run.engine.Now());
     out.completed = run.completed_measured;
     out.launched = run.launched_measured;
     out.util_sum = run.driver.network().MaxLinkUtilization(run.engine.Now());

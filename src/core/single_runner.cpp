@@ -20,10 +20,8 @@ MulticastResult PlayOnce(const System& sys, const SimConfig& cfg,
                 [&result](const MulticastResult& r) { result = r; });
   engine.RunToQuiescence();
   IRMC_ENSURE(result.has_value());
-  if (metrics) {
-    engine.CollectMetrics(*metrics);
-    driver.network().CollectMetrics(engine.Now());
-  }
+  engine.CollectMetrics(driver.metrics());
+  driver.network().CollectMetrics(engine.Now());
   return *result;
 }
 
@@ -38,9 +36,8 @@ SingleRunResult RunSingleMulticast(const SingleRunSpec& spec) {
   const auto body = [&spec](const TrialContext& ctx) {
     TrialOutcome out;
     const TrialSetup setup =
-        PrepareTrial(out, ctx, spec.cfg.topology, spec.collect_metrics,
-                     spec.tracer, spec.trace_cap, spec.root_policy);
-    MetricsRegistry* reg = setup.metrics;
+        PrepareTrial(out, ctx, spec.cfg.topology, spec.tracer,
+                     spec.trace_cap, spec.root_policy);
     Tracer* trace = setup.tracer;
     const auto scheme = MakeScheme(spec.scheme, spec.cfg.host);
     const auto& sys = setup.sys;
@@ -58,7 +55,7 @@ SingleRunResult RunSingleMulticast(const SingleRunSpec& spec) {
       McastPlan plan = scheme->Plan(*sys, src, dests, spec.cfg.message,
                                     spec.cfg.headers);
       const MulticastResult r =
-          PlayOnce(*sys, spec.cfg, std::move(plan), trace, reg);
+          PlayOnce(*sys, spec.cfg, std::move(plan), trace, &out.metrics);
       out.latency.Add(static_cast<double>(r.Latency()));
     }
     return out;

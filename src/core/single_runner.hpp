@@ -39,11 +39,6 @@ struct SingleRunSpec {
   /// Ring-buffer cap applied to each per-trial tracer (most recent
   /// events kept, `dropped()` reports loss); 0 = unbounded.
   std::size_t trace_cap = 0;
-  /// Always-on metrics: each trial records into its own MetricsRegistry,
-  /// merged in trial-index order into SingleRunResult::metrics. Never
-  /// forces serial execution. Off only for overhead measurement
-  /// (bench/perfE) — set false to skip all recording.
-  bool collect_metrics = true;
 };
 
 struct SingleRunResult {
@@ -51,7 +46,8 @@ struct SingleRunResult {
   double min_latency = 0.0;
   double max_latency = 0.0;
   int samples = 0;
-  /// Merged per-trial metrics (empty when collect_metrics is false).
+  /// Always-on metrics: each trial records into its own MetricsRegistry,
+  /// merged here in trial-index order. Never forces serial execution.
   MetricsRegistry metrics;
 };
 
@@ -61,7 +57,8 @@ SingleRunResult RunSingleMulticast(const SingleRunSpec& spec);
 /// Runs one planned multicast on a fresh driver over an existing system;
 /// returns the full result (building block for tests and examples).
 /// `metrics` (optional) receives driver/fabric/engine metrics for the
-/// playout.
+/// playout; null records into the driver's own registry, discarded
+/// afterwards. The result does not depend on it.
 MulticastResult PlayOnce(const System& sys, const SimConfig& cfg,
                          McastPlan plan, Tracer* tracer = nullptr,
                          MetricsRegistry* metrics = nullptr);

@@ -3,11 +3,10 @@
 namespace irmc {
 
 TrialSetup PrepareTrial(TrialOutcome& out, const TrialContext& ctx,
-                        const TopologySpec& topology, bool collect_metrics,
+                        const TopologySpec& topology,
                         const Tracer* trace_sink, std::size_t trace_cap,
                         RootPolicy root_policy) {
   TrialSetup setup;
-  if (collect_metrics) setup.metrics = &out.metrics;
   if (trace_sink != nullptr) {
     out.trace = Tracer(trace_cap);
     out.trace.set_trial(ctx.trial_index);

@@ -1,10 +1,11 @@
 // Always-on metrics: counters, gauges, and log-binned histograms.
 //
-// Every Trial owns one MetricsRegistry; the sim engine, fabric, flit
-// engine, and McastDriver resolve raw Counter/Gauge/Histogram pointers
-// from it once at construction, so a hot-path record is a guarded
-// integer add — cheap enough to leave enabled by default (bench/perfE
-// measures the overhead and flags anything above 5%).
+// Every Trial owns one MetricsRegistry; the fabric, flit engine,
+// resilience manager, and McastDriver resolve their Counter/Histogram
+// slots from it once at construction, so a hot-path record is an
+// unguarded integer add. Recording is always on: the registry is a
+// required dependency below McastDriver, which binds to a registry of
+// its own when a caller passes none.
 //
 // Determinism contract: every metric value is either an integer
 // (counters, histogram bins/sum/min/max) or a double combined by an

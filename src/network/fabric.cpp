@@ -7,26 +7,24 @@
 namespace irmc {
 
 Fabric::Fabric(Engine& engine, const System& sys, const NetParams& params,
-               DeliverFn deliver, Tracer* tracer, MetricsRegistry* metrics)
+               DeliverFn deliver, MetricsRegistry& metrics, Tracer* tracer)
     : engine_(engine),
       sys_(&sys),
       params_(params),
       deliver_(std::move(deliver)),
       tracer_(tracer),
       metrics_(metrics),
+      m_flits_(metrics.GetCounter("fabric.flits_sent")),
+      m_switched_(metrics.GetCounter("fabric.packets_switched")),
+      m_injected_(metrics.GetCounter("fabric.packets_injected")),
+      m_replications_(metrics.GetCounter("fabric.replications")),
+      m_host_deliveries_(metrics.GetCounter("fabric.host_deliveries")),
+      m_blocked_(metrics.GetCounter("fabric.blocked_cycles")),
+      m_fanout_(metrics.GetHistogram("fabric.route_fanout")),
+      m_header_flits_(metrics.GetHistogram("fabric.header_flits")),
       ports_(sys.graph.ports_per_switch()) {
   IRMC_EXPECT(deliver_ != nullptr);
   IRMC_EXPECT(params_.input_slots >= 1);
-  if (metrics_) {
-    m_flits_ = &metrics_->GetCounter("fabric.flits_sent");
-    m_switched_ = &metrics_->GetCounter("fabric.packets_switched");
-    m_injected_ = &metrics_->GetCounter("fabric.packets_injected");
-    m_replications_ = &metrics_->GetCounter("fabric.replications");
-    m_host_deliveries_ = &metrics_->GetCounter("fabric.host_deliveries");
-    m_blocked_ = &metrics_->GetCounter("fabric.blocked_cycles");
-    m_fanout_ = &metrics_->GetHistogram("fabric.route_fanout");
-    m_header_flits_ = &metrics_->GetHistogram("fabric.header_flits");
-  }
   const auto num_port_slots = static_cast<std::size_t>(sys.num_switches()) *
                               static_cast<std::size_t>(ports_);
   channels_.resize(num_port_slots +
@@ -73,10 +71,8 @@ void Fabric::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
   if (params_.record_routes && !pkt->hop_log)
     pkt->hop_log = std::make_shared<std::vector<HopRecord>>();
   Trace(TraceKind::kInject, *pkt, n, -1);
-  if (m_injected_) {
-    m_injected_->Add();
-    m_header_flits_->Add(pkt->header_flits);
-  }
+  m_injected_.Add();
+  m_header_flits_.Add(pkt->header_flits);
   const int cid = InjChannelId(n);
   EnqueueTx(cid, Tx{std::move(pkt), ready, nullptr});
 }
@@ -127,11 +123,10 @@ std::vector<LinkLoadReport> Fabric::LinkReports(Cycles now) const {
 }
 
 void Fabric::CollectMetrics(Cycles now) {
-  if (!metrics_) return;
-  Counter& busy = metrics_->GetCounter("fabric.link_busy_cycles");
-  Histogram& util = metrics_->GetHistogram("fabric.link_utilization_pct");
+  Counter& busy = metrics_.GetCounter("fabric.link_busy_cycles");
+  Histogram& util = metrics_.GetHistogram("fabric.link_utilization_pct");
   Gauge& hottest =
-      metrics_->GetGauge("fabric.max_link_utilization", GaugeMode::kMax);
+      metrics_.GetGauge("fabric.max_link_utilization", GaugeMode::kMax);
   double best = 0.0;
   for (const Channel& c : channels_) busy.Add(c.line.busy_total());
   for (const LinkLoadReport& r : LinkReports(now)) {
@@ -143,7 +138,7 @@ void Fabric::CollectMetrics(Cycles now) {
   std::int64_t max_wait = 0;
   for (const CountingResource& pool : input_slots_)
     max_wait = std::max(max_wait, pool.max_queue());
-  metrics_->GetGauge("fabric.input_buffer_wait_max", GaugeMode::kMax)
+  metrics_.GetGauge("fabric.input_buffer_wait_max", GaugeMode::kMax)
       .Set(static_cast<double>(max_wait));
 }
 
@@ -273,13 +268,11 @@ void Fabric::StartTx(int channel_id, Tx tx) {
   const int len = tx.pkt->WireFlits();
   const Cycles earliest = std::max(engine_.Now(), tx.ready);
   const Cycles start = c.line.Reserve(earliest, len);
-  if (m_flits_) {
-    m_flits_->Add(len);
-    // Cycles from packet-ready to wire start: channel queueing plus
-    // downstream input-slot waits (the line itself is reserved only
-    // after the pump serialises access, so start == earliest here).
-    m_blocked_->Add(start - tx.ready);
-  }
+  m_flits_.Add(len);
+  // Cycles from packet-ready to wire start: channel queueing plus
+  // downstream input-slot waits (the line itself is reserved only
+  // after the pump serialises access, so start == earliest here).
+  m_blocked_.Add(start - tx.ready);
   if (tracer_ && start > tx.ready) {
     // The same ready-to-start wait as fabric.blocked_cycles, charged to
     // the channel that held the worm; the matched pair durations sum
@@ -305,7 +298,7 @@ void Fabric::StartTx(int channel_id, Tx tx) {
   });
 
   if (c.to_host) {
-    if (m_host_deliveries_) m_host_deliveries_->Add();
+    m_host_deliveries_.Add();
     engine_.ScheduleAt(
         tail_arrive,
         [this, host = c.host, pkt = tx.pkt, head_arrive, tail_arrive]() {
@@ -335,7 +328,7 @@ void Fabric::StartTx(int channel_id, Tx tx) {
 void Fabric::HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt,
                         Cycles head_time) {
   ++packets_switched_;
-  if (m_switched_) m_switched_->Add();
+  m_switched_.Add();
   Trace(TraceKind::kHeadArrive, *pkt, s, in_port);
   auto buf = std::make_shared<Buffered>();
   buf->slot_pool = static_cast<int>(PortIdx(s, in_port));
@@ -378,10 +371,8 @@ void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time,
     return;
   }
   buf->pending_branches = static_cast<int>(branches.size());
-  if (m_fanout_) {
-    m_fanout_->Add(static_cast<std::int64_t>(branches.size()));
-    m_replications_->Add(static_cast<std::int64_t>(branches.size()) - 1);
-  }
+  m_fanout_.Add(static_cast<std::int64_t>(branches.size()));
+  m_replications_.Add(static_cast<std::int64_t>(branches.size()) - 1);
   Trace(TraceKind::kRoute, *pkt, s, static_cast<std::int32_t>(branches.size()));
   const Cycles ready = engine_.Now() + params_.xbar_delay;
   const int in_port =

@@ -30,12 +30,12 @@ namespace irmc {
 
 class Fabric final : public NetworkModel {
  public:
-  /// `metrics` (optional) receives fabric counters/histograms — see
+  /// `metrics` receives fabric counters/histograms — see
   /// docs/metrics.md for the catalogue. Registry and tracer are both
   /// per-trial state; neither forces serial trial execution.
   Fabric(Engine& engine, const System& sys, const NetParams& params,
-         DeliverFn deliver, Tracer* tracer = nullptr,
-         MetricsRegistry* metrics = nullptr);
+         DeliverFn deliver, MetricsRegistry& metrics,
+         Tracer* tracer = nullptr);
 
   void InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) override;
 
@@ -54,7 +54,7 @@ class Fabric final : public NetworkModel {
   /// Folds end-of-run channel state into the registry: per-link busy
   /// cycles, a link-utilization histogram (percent, switch-to-switch
   /// links), the hottest-link gauge, and input-buffer wait high-water.
-  /// No-op without a registry. Call once when the trial's run ends.
+  /// Call once when the trial's run ends.
   void CollectMetrics(Cycles now) override;
 
   /// Kills both directions of the switch-to-switch link at (sw, port):
@@ -170,16 +170,16 @@ class Fabric final : public NetworkModel {
   NetParams params_;
   DeliverFn deliver_;
   Tracer* tracer_;
-  MetricsRegistry* metrics_;
-  // Hot-path metric slots, resolved once at construction (null = off).
-  Counter* m_flits_ = nullptr;          ///< fabric.flits_sent
-  Counter* m_switched_ = nullptr;       ///< fabric.packets_switched
-  Counter* m_injected_ = nullptr;       ///< fabric.packets_injected
-  Counter* m_replications_ = nullptr;   ///< fabric.replications
-  Counter* m_host_deliveries_ = nullptr;///< fabric.host_deliveries
-  Counter* m_blocked_ = nullptr;        ///< fabric.blocked_cycles
-  Histogram* m_fanout_ = nullptr;       ///< fabric.route_fanout
-  Histogram* m_header_flits_ = nullptr; ///< fabric.header_flits
+  MetricsRegistry& metrics_;
+  // Hot-path metric slots, resolved once at construction.
+  Counter& m_flits_;          ///< fabric.flits_sent
+  Counter& m_switched_;       ///< fabric.packets_switched
+  Counter& m_injected_;       ///< fabric.packets_injected
+  Counter& m_replications_;   ///< fabric.replications
+  Counter& m_host_deliveries_;///< fabric.host_deliveries
+  Counter& m_blocked_;        ///< fabric.blocked_cycles
+  Histogram& m_fanout_;       ///< fabric.route_fanout
+  Histogram& m_header_flits_; ///< fabric.header_flits
   int ports_;
 
   std::vector<Channel> channels_;           // switch out-channels, then injections

@@ -11,27 +11,25 @@ namespace irmc {
 
 FlitEngine::FlitEngine(Engine& engine, const System& sys,
                        const NetParams& params, DeliverFn deliver,
-                       Tracer* tracer, MetricsRegistry* metrics)
+                       MetricsRegistry& metrics, Tracer* tracer)
     : engine_(engine),
       sys_(&sys),
       params_(params),
       deliver_(std::move(deliver)),
       tracer_(tracer),
       metrics_(metrics),
+      m_flits_(metrics.GetCounter("flit.flits_moved")),
+      m_switched_(metrics.GetCounter("flit.packets_switched")),
+      m_injected_(metrics.GetCounter("flit.packets_injected")),
+      m_replications_(metrics.GetCounter("flit.replications")),
+      m_host_deliveries_(metrics.GetCounter("flit.host_deliveries")),
+      m_blocked_(metrics.GetCounter("flit.blocked_cycles")),
+      m_fanout_(metrics.GetHistogram("flit.route_fanout")),
+      m_header_flits_(metrics.GetHistogram("flit.header_flits")),
       ports_(sys.graph.ports_per_switch()) {
   IRMC_EXPECT(deliver_ != nullptr);
   IRMC_EXPECT(params_.buffer_flits >= 1);
   IRMC_EXPECT(params_.deadlock_horizon >= 1);
-  if (metrics_) {
-    m_flits_ = &metrics_->GetCounter("flit.flits_moved");
-    m_switched_ = &metrics_->GetCounter("flit.packets_switched");
-    m_injected_ = &metrics_->GetCounter("flit.packets_injected");
-    m_replications_ = &metrics_->GetCounter("flit.replications");
-    m_host_deliveries_ = &metrics_->GetCounter("flit.host_deliveries");
-    m_blocked_ = &metrics_->GetCounter("flit.blocked_cycles");
-    m_fanout_ = &metrics_->GetHistogram("flit.route_fanout");
-    m_header_flits_ = &metrics_->GetHistogram("flit.header_flits");
-  }
   const auto n_ports = static_cast<std::size_t>(sys.num_switches()) *
                        static_cast<std::size_t>(ports_);
   inputs_.assign(n_ports, InputPort{params_.buffer_flits, -1});
@@ -65,10 +63,8 @@ void FlitEngine::InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) {
   if (params_.record_routes && !pkt->hop_log)
     pkt->hop_log = std::make_shared<std::vector<HopRecord>>();
   TraceAt(engine_.Now(), TraceKind::kInject, *pkt, n, -1);
-  if (m_injected_) {
-    m_injected_->Add();
-    m_header_flits_->Add(pkt->header_flits);
-  }
+  m_injected_.Add();
+  m_header_flits_.Add(pkt->header_flits);
   inject_queues_[static_cast<std::size_t>(n)].emplace_back(std::move(pkt),
                                                            ready);
   injecting_nodes_.Set(static_cast<std::size_t>(n));
@@ -121,15 +117,14 @@ std::vector<LinkLoadReport> FlitEngine::LinkReports(Cycles now) const {
 }
 
 void FlitEngine::CollectMetrics(Cycles now) {
-  if (!metrics_) return;
-  metrics_->GetCounter("flit.cycles_run").Add(ticks_);
-  metrics_->GetCounter("flit.deliveries").Add(deliveries_);
-  metrics_->GetGauge("flit.max_buffer_occupancy", GaugeMode::kMax)
+  metrics_.GetCounter("flit.cycles_run").Add(ticks_);
+  metrics_.GetCounter("flit.deliveries").Add(deliveries_);
+  metrics_.GetGauge("flit.max_buffer_occupancy", GaugeMode::kMax)
       .Set(static_cast<double>(max_occupancy_));
-  Counter& busy = metrics_->GetCounter("flit.link_busy_cycles");
-  Histogram& util = metrics_->GetHistogram("flit.link_utilization_pct");
+  Counter& busy = metrics_.GetCounter("flit.link_busy_cycles");
+  Histogram& util = metrics_.GetHistogram("flit.link_utilization_pct");
   Gauge& hottest =
-      metrics_->GetGauge("flit.max_link_utilization", GaugeMode::kMax);
+      metrics_.GetGauge("flit.max_link_utilization", GaugeMode::kMax);
   double best = 0.0;
   for (const Channel& c : channels_) busy.Add(c.flits);
   for (const LinkLoadReport& r : LinkReports(now)) {
@@ -297,7 +292,7 @@ void FlitEngine::ReleasePorts() {
 
 void FlitEngine::DeliverBranch(BranchState& b, Cycles tail_arrive) {
   ++deliveries_;
-  if (m_host_deliveries_) m_host_deliveries_->Add();
+  m_host_deliveries_.Add();
   TraceAt(tail_arrive, TraceKind::kNiDeliver, *b.out_pkt, b.sink, -1);
   deliver_(b.sink, b.out_pkt, b.sink_head, tail_arrive);
 }
@@ -329,7 +324,7 @@ void FlitEngine::LandFlits(Cycles now) {
         worms_.push_back(std::move(w));
         ip.resident_worm = static_cast<int>(worms_.size()) - 1;
         b.dst_worm = ip.resident_worm;
-        if (m_switched_) m_switched_->Add();
+        m_switched_.Add();
         TraceAt(entry.lands, TraceKind::kHeadArrive, *b.out_pkt,
                 SwitchOfPort(c.dst_port_index),
                 c.dst_port_index % ports_);
@@ -433,10 +428,8 @@ void FlitEngine::RouteWorms(Cycles now) {
       if (w.received >= w.len) ReleaseWormPort(w);
       continue;
     }
-    if (m_fanout_) {
-      m_fanout_->Add(static_cast<std::int64_t>(decisions.size()));
-      m_replications_->Add(static_cast<std::int64_t>(decisions.size()) - 1);
-    }
+    m_fanout_.Add(static_cast<std::int64_t>(decisions.size()));
+    m_replications_.Add(static_cast<std::int64_t>(decisions.size()) - 1);
     TraceAt(now, TraceKind::kRoute, *w.pkt, sw,
             static_cast<std::int32_t>(decisions.size()));
     w.live_branches = static_cast<int>(decisions.size());
@@ -518,7 +511,7 @@ void FlitEngine::MoveFlits(Cycles now) {
       }
       if (stalled) {
         ++blocked_cycles_;
-        if (m_blocked_) m_blocked_->Add();
+        m_blocked_.Add();
         if (b.stall_len == 0) b.stall_begin = now;
         ++b.stall_len;
         if (b.stall_len > params_.deadlock_horizon)
@@ -531,7 +524,7 @@ void FlitEngine::MoveFlits(Cycles now) {
     ++b.consumed;
     ++flits_moved_;
     ++c.flits;
-    if (m_flits_) m_flits_->Add();
+    m_flits_.Add();
     const bool is_tail = (b.consumed == b.len);
     in_flight_.push_back(InFlight{c.active_branch, is_head, is_tail,
                                   now + params_.link_delay});

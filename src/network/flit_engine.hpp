@@ -65,16 +65,15 @@ struct FlitDeadlockInfo {
 
 class FlitEngine final : public NetworkModel {
  public:
-  /// `metrics` (optional) receives `flit.*` counters/histograms — the
-  /// same catalogue as the Fabric's `fabric.*` family, plus flit-only
-  /// series (cycles stepped, buffer-occupancy high-water); see
-  /// docs/metrics.md. `tracer` (optional) receives the same event kinds
-  /// as the Fabric, including kBlockBegin/kBlockEnd pairs per
-  /// credit-stall streak whose durations sum exactly to
-  /// `flit.blocked_cycles`.
+  /// `metrics` receives `flit.*` counters/histograms — the same
+  /// catalogue as the Fabric's `fabric.*` family, plus flit-only series
+  /// (cycles stepped, buffer-occupancy high-water); see docs/metrics.md.
+  /// `tracer` (optional) receives the same event kinds as the Fabric,
+  /// including kBlockBegin/kBlockEnd pairs per credit-stall streak whose
+  /// durations sum exactly to `flit.blocked_cycles`.
   FlitEngine(Engine& engine, const System& sys, const NetParams& params,
-             DeliverFn deliver, Tracer* tracer = nullptr,
-             MetricsRegistry* metrics = nullptr);
+             DeliverFn deliver, MetricsRegistry& metrics,
+             Tracer* tracer = nullptr);
 
   void InjectFromNi(NodeId n, PacketPtr pkt, Cycles ready) override;
 
@@ -289,16 +288,16 @@ class FlitEngine final : public NetworkModel {
   NetParams params_;
   DeliverFn deliver_;
   Tracer* tracer_;
-  MetricsRegistry* metrics_;
-  // Hot-path metric slots, resolved once at construction (null = off).
-  Counter* m_flits_ = nullptr;           ///< flit.flits_moved
-  Counter* m_switched_ = nullptr;        ///< flit.packets_switched
-  Counter* m_injected_ = nullptr;        ///< flit.packets_injected
-  Counter* m_replications_ = nullptr;    ///< flit.replications
-  Counter* m_host_deliveries_ = nullptr; ///< flit.host_deliveries
-  Counter* m_blocked_ = nullptr;         ///< flit.blocked_cycles
-  Histogram* m_fanout_ = nullptr;        ///< flit.route_fanout
-  Histogram* m_header_flits_ = nullptr;  ///< flit.header_flits
+  MetricsRegistry& metrics_;
+  // Hot-path metric slots, resolved once at construction.
+  Counter& m_flits_;           ///< flit.flits_moved
+  Counter& m_switched_;        ///< flit.packets_switched
+  Counter& m_injected_;        ///< flit.packets_injected
+  Counter& m_replications_;    ///< flit.replications
+  Counter& m_host_deliveries_; ///< flit.host_deliveries
+  Counter& m_blocked_;         ///< flit.blocked_cycles
+  Histogram& m_fanout_;        ///< flit.route_fanout
+  Histogram& m_header_flits_;  ///< flit.header_flits
   int ports_;
 
   std::vector<InputPort> inputs_;  // [switch*ports + port]

@@ -36,15 +36,15 @@ double NetworkModel::MaxLinkUtilization(Cycles now) const {
 
 std::unique_ptr<NetworkModel> MakeNetworkModel(
     EngineKind kind, Engine& engine, const System& sys,
-    const NetParams& params, NetworkModel::DeliverFn deliver, Tracer* tracer,
-    MetricsRegistry* metrics) {
+    const NetParams& params, NetworkModel::DeliverFn deliver,
+    MetricsRegistry& metrics, Tracer* tracer) {
   switch (kind) {
     case EngineKind::kVct:
       return std::make_unique<Fabric>(engine, sys, params, std::move(deliver),
-                                      tracer, metrics);
+                                      metrics, tracer);
     case EngineKind::kFlit:
       return std::make_unique<FlitEngine>(engine, sys, params,
-                                          std::move(deliver), tracer, metrics);
+                                          std::move(deliver), metrics, tracer);
   }
   IRMC_ENSURE(false && "unknown engine kind");
   return nullptr;

@@ -125,8 +125,8 @@ class NetworkModel {
   /// Highest switch-to-switch link utilization (hot-spot metric).
   double MaxLinkUtilization(Cycles now) const;
 
-  /// Folds end-of-run channel state into the engine's metrics registry
-  /// (no-op without one). Call once when the trial's run ends.
+  /// Folds end-of-run channel state into the engine's metrics registry.
+  /// Call once when the trial's run ends.
   virtual void CollectMetrics(Cycles now) = 0;
 
   /// Installs the fault-drop handler (see DropFn). Engines only take
@@ -160,6 +160,6 @@ class NetworkModel {
 std::unique_ptr<NetworkModel> MakeNetworkModel(
     EngineKind kind, Engine& engine, const System& sys,
     const NetParams& params, NetworkModel::DeliverFn deliver,
-    Tracer* tracer = nullptr, MetricsRegistry* metrics = nullptr);
+    MetricsRegistry& metrics, Tracer* tracer = nullptr);
 
 }  // namespace irmc

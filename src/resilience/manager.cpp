@@ -10,18 +10,16 @@ namespace irmc {
 
 ResilienceManager::ResilienceManager(Engine& engine, NetworkModel& network,
                                      const System& base, const SimConfig& cfg,
-                                     Tracer* tracer, MetricsRegistry* metrics,
+                                     Tracer* tracer, MetricsRegistry& metrics,
                                      SwapFn on_swap)
     : engine_(engine),
       network_(network),
       cfg_(cfg),
       tracer_(tracer),
+      m_faults_(metrics.GetCounter("resilience.faults")),
+      m_reconfigs_(metrics.GetCounter("resilience.reconfigs")),
+      m_reconfig_cycles_(metrics.GetCounter("resilience.reconfig_cycles")),
       current_(&base) {
-  if (metrics) {
-    m_faults_ = &metrics->GetCounter("resilience.faults");
-    m_reconfigs_ = &metrics->GetCounter("resilience.reconfigs");
-    m_reconfig_cycles_ = &metrics->GetCounter("resilience.reconfig_cycles");
-  }
   on_swap_ = std::move(on_swap);
 
   schedule_ = cfg.resilience.schedule;
@@ -52,7 +50,7 @@ void ResilienceManager::InjectFault(int index) {
   if (tracer_)
     tracer_->Record(TraceEvent{engine_.Now(), TraceKind::kFault, -1, 0, f.sw,
                                f.port});
-  if (m_faults_) m_faults_->Add();
+  m_faults_.Add();
   ++faults_injected_;
   last_fault_index_ = index;
   ++pending_swaps_;
@@ -88,11 +86,9 @@ void ResilienceManager::ApplySwap(int index) {
   network_.SwapSystem(sys);
   current_ = &sys;
   if (on_swap_) on_swap_(sys);
-  if (m_reconfigs_) {
-    m_reconfigs_->Add();
-    m_reconfig_cycles_->Add(cfg_.resilience.detection_delay +
-                            cfg_.resilience.reconfig_delay);
-  }
+  m_reconfigs_.Add();
+  m_reconfig_cycles_.Add(cfg_.resilience.detection_delay +
+                         cfg_.resilience.reconfig_delay);
   ++reconfigs_applied_;
 }
 

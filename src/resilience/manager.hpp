@@ -53,7 +53,7 @@ class ResilienceManager {
   /// engine the faults and swaps apply to.
   ResilienceManager(Engine& engine, NetworkModel& network, const System& base,
                     const SimConfig& cfg, Tracer* tracer,
-                    MetricsRegistry* metrics, SwapFn on_swap);
+                    MetricsRegistry& metrics, SwapFn on_swap);
 
   ResilienceManager(const ResilienceManager&) = delete;
   ResilienceManager& operator=(const ResilienceManager&) = delete;
@@ -84,9 +84,9 @@ class ResilienceManager {
   NetworkModel& network_;
   const SimConfig& cfg_;
   Tracer* tracer_;
-  Counter* m_faults_ = nullptr;           ///< resilience.faults
-  Counter* m_reconfigs_ = nullptr;        ///< resilience.reconfigs
-  Counter* m_reconfig_cycles_ = nullptr;  ///< resilience.reconfig_cycles
+  Counter& m_faults_;           ///< resilience.faults
+  Counter& m_reconfigs_;        ///< resilience.reconfigs
+  Counter& m_reconfig_cycles_;  ///< resilience.reconfig_cycles
   SwapFn on_swap_;
 
   std::vector<TimedFault> schedule_;  ///< time-sorted, survivable

@@ -19,11 +19,11 @@ class DsmRun {
  public:
   DsmRun(const SimConfig& cfg, SchemeKind scheme, const DsmParams& params,
          const System& sys, std::uint64_t seed, Tracer* tracer,
-         MetricsRegistry* metrics)
+         MetricsRegistry& metrics)
       : cfg_(cfg),
         params_(params),
         sys_(sys),
-        driver_(engine_, sys, cfg, tracer, metrics),
+        driver_(engine_, sys, cfg, tracer, &metrics),
         scheme_(MakeScheme(scheme, cfg.host)),
         rng_(seed) {
     IRMC_EXPECT(params.sharers_per_line < sys.num_nodes());
@@ -44,8 +44,8 @@ class DsmRun {
 
   void Run() { engine_.RunUntil(params_.horizon * 2); }
 
-  void CollectMetrics(MetricsRegistry& reg) {
-    engine_.CollectMetrics(reg);
+  void CollectMetrics() {
+    engine_.CollectMetrics(driver_.metrics());
     driver_.network().CollectMetrics(engine_.Now());
   }
 
@@ -156,17 +156,16 @@ DsmResult RunDsmInvalidation(const SimConfig& cfg, SchemeKind scheme,
       cfg, params.topologies, [&](const TrialContext& ctx) {
         TrialOutcome out;
         const TrialSetup setup =
-            PrepareTrial(out, ctx, cfg.topology, params.collect_metrics,
-                         params.tracer, params.trace_cap);
-        MetricsRegistry* reg = setup.metrics;
+            PrepareTrial(out, ctx, cfg.topology, params.tracer,
+                         params.trace_cap);
         Tracer* trace = setup.tracer;
         const auto& sys = setup.sys;
         DsmRun run(cfg, scheme, params, *sys,
                    cfg.seed * 6151 +
                        static_cast<std::uint64_t>(ctx.trial_index),
-                   trace, reg);
+                   trace, out.metrics);
         run.Run();
-        if (reg) run.CollectMetrics(*reg);
+        run.CollectMetrics();
         out.launched = run.started();
         out.completed = run.completed();
         out.samples = run.latencies();

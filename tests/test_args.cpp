@@ -50,10 +50,53 @@ TEST(Args, NoCommandIsEmpty) {
   EXPECT_EQ(args.GetInt("size", 0), 3);
 }
 
-TEST(Args, MalformedNumbersFallBack) {
-  const Args args = ParseVec({"single", "--size", "abc", "--load", "x.y"});
-  EXPECT_EQ(args.GetInt("size", 7), 7);
-  EXPECT_DOUBLE_EQ(args.GetDouble("load", 0.5), 0.5);
+// A value that is present but does not parse must not silently run the
+// default (`irmc_verify --trials 2x` would verify 20 topologies).
+TEST(ArgsDeathTest, MalformedIntegerExitsNamingTheFlag) {
+  for (const char* bad : {"2x", "abc", "x.y"}) {
+    const Args args = ParseVec({"single", "--size", bad});
+    EXPECT_EXIT(args.GetInt("size", 7), ::testing::ExitedWithCode(2),
+                std::string("invalid value for --size: '") + bad +
+                    "' \\(accepted: integer\\)");
+  }
+}
+
+TEST(ArgsDeathTest, MalformedDoubleExitsNamingTheFlag) {
+  for (const char* bad : {"2x", "abc", "x.y"}) {
+    const Args args = ParseVec({"load", "--load", bad});
+    EXPECT_EXIT(args.GetDouble("load", 0.5), ::testing::ExitedWithCode(2),
+                std::string("invalid value for --load: '") + bad +
+                    "' \\(accepted: finite number\\)");
+  }
+}
+
+TEST(ArgsDeathTest, NumberWithoutValueOrOutOfRangeExits) {
+  const Args flag = ParseVec({"single", "--size", "--seed", "3"});
+  EXPECT_EXIT(flag.GetInt("size", 7), ::testing::ExitedWithCode(2),
+              "invalid value for --size: ''");
+  const Args huge = ParseVec({"single", "--seed", "99999999999999999999"});
+  EXPECT_EXIT(huge.GetInt("seed", 1), ::testing::ExitedWithCode(2),
+              "invalid value for --seed");
+  const Args inf = ParseVec({"load", "--load", "inf"});
+  EXPECT_EXIT(inf.GetDouble("load", 0.5), ::testing::ExitedWithCode(2),
+              "invalid value for --load: 'inf'");
+}
+
+TEST(Args, GetIntAtLeastAcceptsInRangeAndFallsBackWhenAbsent) {
+  const Args args = ParseVec({"single", "--packets", "3"});
+  EXPECT_EQ(args.GetIntAtLeast("packets", 1, 1), 3);
+  EXPECT_EQ(args.GetIntAtLeast("switches", 8, 1), 8);
+}
+
+TEST(ArgsDeathTest, GetIntAtLeastRejectsBelowMinimumAndBeyondInt) {
+  const Args zero = ParseVec({"single", "--packets", "0"});
+  EXPECT_EXIT(zero.GetIntAtLeast("packets", 1, 1),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --packets: '0' \\(accepted: integer >= 1\\)");
+  const Args wide = ParseVec({"single", "--packets", "4294967297"});
+  EXPECT_EXIT(wide.GetIntAtLeast("packets", 1, 1),
+              ::testing::ExitedWithCode(2),
+              "invalid value for --packets: '4294967297'");
 }
 
 TEST(Args, NegativeAndFloatValues) {

@@ -331,10 +331,12 @@ StressOutcome RunTreeWormStress(const System& sys, int buffer_flits) {
   params.adaptive = false;
   params.buffer_flits = buffer_flits;
   params.deadlock_horizon = 20'000;
+  MetricsRegistry reg;
   FlitEngine flit(engine, sys, params,
                   [&](NodeId, const PacketPtr&, Cycles, Cycles) {
                     ++out.deliveries;
-                  });
+                  },
+                  reg);
   flit.SetDeadlockHandler([&](const FlitDeadlockInfo& info) {
     out.tripped = true;
     out.info = info;
@@ -407,8 +409,9 @@ TEST(DeadlockSoundness, HandlerFreezesTheEngineInsteadOfAborting) {
   params.adaptive = false;
   params.buffer_flits = 128;
   params.deadlock_horizon = 20'000;
+  MetricsRegistry reg;
   FlitEngine flit(engine, sys, params,
-                  [](NodeId, const PacketPtr&, Cycles, Cycles) {});
+                  [](NodeId, const PacketPtr&, Cycles, Cycles) {}, reg);
   int fires = 0;
   flit.SetDeadlockHandler([&](const FlitDeadlockInfo&) { ++fires; });
   const int hosts = sys.num_nodes();

@@ -20,6 +20,7 @@ struct Harness {
   std::unique_ptr<System> sys;
   Engine engine;
   std::vector<Delivery> deliveries;
+  MetricsRegistry metrics;
   std::unique_ptr<Fabric> fabric;
 
   explicit Harness(Graph g, NetParams params = {}) {
@@ -28,7 +29,8 @@ struct Harness {
         engine, *sys, params,
         [this](NodeId n, const PacketPtr& p, Cycles h, Cycles t) {
           deliveries.push_back({n, h, t, p});
-        });
+        },
+        metrics);
   }
 };
 

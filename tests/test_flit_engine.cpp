@@ -42,10 +42,12 @@ std::map<NodeId, std::pair<Cycles, Cycles>> RunVct(
   NetParams params;
   params.adaptive = false;
   std::map<NodeId, std::pair<Cycles, Cycles>> out;
+  MetricsRegistry reg;
   Fabric fabric(engine, sys, params,
                 [&](NodeId n, const PacketPtr&, Cycles h, Cycles t) {
                   out[n] = {h, t};
-                });
+                },
+                reg);
   for (const auto& [n, p] : txs)
     fabric.InjectFromNi(n, std::make_shared<Packet>(*p), 0);
   engine.RunToQuiescence();
@@ -60,10 +62,12 @@ std::map<NodeId, std::pair<Cycles, Cycles>> RunFlit(
   params.adaptive = false;
   params.buffer_flits = buffer_flits;
   std::map<NodeId, std::pair<Cycles, Cycles>> out;
+  MetricsRegistry reg;
   FlitEngine flit(engine, sys, params,
                   [&](NodeId n, const PacketPtr&, Cycles h, Cycles t) {
                     out[n] = {h, t};
-                  });
+                  },
+                  reg);
   for (const auto& [n, p] : txs)
     flit.InjectFromNi(n, std::make_shared<Packet>(*p), 0);
   engine.RunToQuiescence();
@@ -122,10 +126,12 @@ TEST(FlitEngine, LineLatencyExact) {
   System sys{std::move(g)};
   Engine engine;
   std::vector<std::pair<Cycles, Cycles>> deliveries;
+  MetricsRegistry reg;
   FlitEngine flit(engine, sys, {},
                   [&](NodeId, const PacketPtr&, Cycles h, Cycles t) {
                     deliveries.emplace_back(h, t);
-                  });
+                  },
+                  reg);
   flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
   engine.RunToQuiescence();
   ASSERT_EQ(deliveries.size(), 1u);
@@ -143,10 +149,12 @@ TEST(FlitEngine, IdleGapsCostNoCycles) {
   System sys{std::move(g)};
   Engine engine;
   int delivered = 0;
+  MetricsRegistry reg;
   FlitEngine flit(engine, sys, {},
                   [&](NodeId, const PacketPtr&, Cycles, Cycles) {
                     ++delivered;
-                  });
+                  },
+                  reg);
   flit.InjectFromNi(0, Unicast(0, 1, 50), 100'000);
   engine.RunToQuiescence();
   EXPECT_EQ(delivered, 1);
@@ -173,10 +181,12 @@ TEST(FlitEngine, SmallBuffersStretchWormAcrossLinks) {
     params.adaptive = false;
     params.buffer_flits = 4;
     std::vector<Cycles> heads;
+    MetricsRegistry reg;
     FlitEngine flit(engine, sys, params,
                     [&](NodeId, const PacketPtr&, Cycles h, Cycles) {
                       heads.push_back(h);
-                    });
+                    },
+                    reg);
     flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
     engine.RunToQuiescence();
     ASSERT_EQ(heads.size(), 1u);
@@ -188,10 +198,12 @@ TEST(FlitEngine, SmallBuffersStretchWormAcrossLinks) {
     params.adaptive = false;
     params.buffer_flits = 4;
     std::vector<Cycles> tails;
+    MetricsRegistry reg;
     FlitEngine flit(engine, sys, params,
                     [&](NodeId, const PacketPtr&, Cycles, Cycles t) {
                       tails.push_back(t);
-                    });
+                    },
+                    reg);
     flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
     flit.InjectFromNi(1, Unicast(1, 3, 128), 0);
     engine.RunToQuiescence();
@@ -227,7 +239,7 @@ TEST(FlitEngine, BlockTracePairsSumToBlockedCyclesCounter) {
                   [&](NodeId, const PacketPtr&, Cycles, Cycles) {
                     ++delivered;
                   },
-                  &tracer, &reg);
+                  reg, &tracer);
   flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
   flit.InjectFromNi(1, Unicast(1, 3, 128), 0);
   engine.RunToQuiescence();
@@ -265,10 +277,12 @@ TEST(FlitEngine, MultipleInjectionsSameNodeSerialize) {
   System sys{std::move(g)};
   Engine engine;
   std::vector<Cycles> heads;
+  MetricsRegistry reg;
   FlitEngine flit(engine, sys, {},
                   [&](NodeId, const PacketPtr&, Cycles h, Cycles) {
                     heads.push_back(h);
-                  });
+                  },
+                  reg);
   flit.InjectFromNi(0, Unicast(0, 1, 50), 0);
   flit.InjectFromNi(0, Unicast(0, 1, 50), 0);
   engine.RunToQuiescence();
@@ -299,8 +313,9 @@ TEST(FlitEngineDeathTest, DeadlockHorizonNamesStuckWormsAndPorts) {
     params.adaptive = false;
     params.buffer_flits = 4;
     params.deadlock_horizon = 16;  // far below the real drain time
+    MetricsRegistry reg;
     FlitEngine flit(engine, sys, params,
-                    [](NodeId, const PacketPtr&, Cycles, Cycles) {});
+                    [](NodeId, const PacketPtr&, Cycles, Cycles) {}, reg);
     flit.InjectFromNi(0, Unicast(0, 2, 128), 0);
     flit.InjectFromNi(1, Unicast(1, 3, 128), 0);
     engine.RunToQuiescence();
@@ -330,10 +345,12 @@ TEST_P(ContendedXCheck, EnginesAgreeExactlyUnderContention) {
     Engine engine;
     NetParams params;
     params.adaptive = false;
+    MetricsRegistry reg;
     Fabric fabric(engine, *sys, params,
                   [&](NodeId n, const PacketPtr&, Cycles h, Cycles t) {
                     vct_set.insert({n, h, t});
-                  });
+                  },
+                  reg);
     for (const auto& [s, t, r] : txs)
       fabric.InjectFromNi(s, Unicast(s, t), r);
     engine.RunToQuiescence();
@@ -342,10 +359,12 @@ TEST_P(ContendedXCheck, EnginesAgreeExactlyUnderContention) {
     Engine engine;
     NetParams params;
     params.adaptive = false;
+    MetricsRegistry reg;
     FlitEngine flit(engine, *sys, params,
                     [&](NodeId n, const PacketPtr&, Cycles h, Cycles t) {
                       flit_set.insert({n, h, t});
-                    });
+                    },
+                    reg);
     for (const auto& [s, t, r] : txs) flit.InjectFromNi(s, Unicast(s, t), r);
     engine.RunToQuiescence();
   }
@@ -374,11 +393,12 @@ TEST(FlitEngine, QuietAfterFailingLinkWithActiveAndWaitingBranches) {
   params.adaptive = false;
   Tracer tracer;
   int delivered = 0;
+  MetricsRegistry reg;
   FlitEngine flit(engine, sys, params,
                   [&](NodeId, const PacketPtr&, Cycles, Cycles) {
                     ++delivered;
                   },
-                  &tracer);
+                  reg, &tracer);
   std::vector<std::int64_t> dropped;
   flit.SetDropHandler([&](const PacketPtr& pkt, Cycles, SwitchId) {
     dropped.push_back(pkt->mcast_id);
@@ -525,7 +545,7 @@ WormholeOutcome RunWormhole(SchemeKind kind, std::uint64_t seed) {
                                                 n, h, t);
                     send_from(pkt->mcast_id, n, t + kTurnaround);
                   },
-                  nullptr, &reg);
+                  reg);
   flit.SetDeadlockHandler(
       [&](const FlitDeadlockInfo& info) { out.deadlock_at = info.now; });
   net = &flit;

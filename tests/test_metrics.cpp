@@ -256,18 +256,50 @@ TEST(MetricsDeterminism, DsmRunnerThreadCountInvariant) {
   EXPECT_EQ(serial, DsmSweepJson(8));
 }
 
-TEST(MetricsDeterminism, CollectMetricsOffYieldsEmptyRegistry) {
-  SingleRunSpec spec;
-  spec.multicast_size = 4;
-  spec.topologies = 2;
-  spec.samples_per_topology = 1;
-  spec.collect_metrics = false;
-  EXPECT_TRUE(RunSingleMulticast(spec).metrics.Empty());
-  // ...and the result itself is unaffected by the toggle.
-  SingleRunSpec on = spec;
-  on.collect_metrics = true;
-  EXPECT_EQ(RunSingleMulticast(spec).mean_latency,
-            RunSingleMulticast(on).mean_latency);
+// Recording never changes what is simulated: a driver handed no
+// registry binds to one it owns and must play every scheme, on both
+// engines, to exactly the result a caller-supplied registry sees.
+TEST(MetricsDeterminism, DriverWithoutRegistrySimulatesIdentically) {
+  const auto sys = System::Build({}, 42);
+  std::vector<NodeId> dests;
+  for (NodeId n = 1; n <= 15; ++n) dests.push_back(n);
+  for (EngineKind engine : {EngineKind::kVct, EngineKind::kFlit}) {
+    SimConfig cfg;
+    cfg.engine = engine;
+    cfg.message.num_packets = 2;
+    for (SchemeKind kind : {SchemeKind::kUnicastBinomial,
+                            SchemeKind::kNiKBinomial, SchemeKind::kTreeWorm,
+                            SchemeKind::kPathWorm}) {
+      SCOPED_TRACE(std::string(ToString(engine)) + " " + ToString(kind));
+      const auto scheme = MakeScheme(kind, cfg.host);
+      const McastPlan plan =
+          scheme->Plan(*sys, 0, dests, cfg.message, cfg.headers);
+      MetricsRegistry reg;
+      const MulticastResult with = PlayOnce(*sys, cfg, plan, nullptr, &reg);
+      const MulticastResult without = PlayOnce(*sys, cfg, plan);
+      EXPECT_EQ(reg.counters().at("mcast.completed").value, 1);
+      EXPECT_EQ(with.id, without.id);
+      EXPECT_EQ(with.start, without.start);
+      EXPECT_EQ(with.completion, without.completion);
+      EXPECT_EQ(with.num_dests, without.num_dests);
+      EXPECT_EQ(with.deliveries, without.deliveries);
+    }
+  }
+}
+
+TEST(MetricsDeterminism, DriverWithoutRegistryRecordsIntoItsOwn) {
+  const auto sys = System::Build({}, 42);
+  SimConfig cfg;
+  Engine engine;
+  McastDriver driver(engine, *sys, cfg);
+  const auto scheme = MakeScheme(SchemeKind::kTreeWorm, cfg.host);
+  driver.Launch(scheme->Plan(*sys, 0, {1, 2, 3}, cfg.message, cfg.headers),
+                0, [](const MulticastResult&) {});
+  engine.RunToQuiescence();
+  const MetricsRegistry& own = driver.metrics();
+  EXPECT_EQ(own.counters().at("mcast.launched").value, 1);
+  EXPECT_EQ(own.counters().at("mcast.completed").value, 1);
+  EXPECT_GT(own.counters().at("fabric.flits_sent").value, 0);
 }
 
 // Pins the derived-quantile estimator (Histogram::Quantile and the

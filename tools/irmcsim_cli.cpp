@@ -121,26 +121,37 @@ int MaybeWriteTrace(const TraceSpec& spec, const Tracer& tracer) {
 }
 
 /// Common --switches/--nodes/--ports/--packets/--ratio/--seed handling.
+/// Out-of-range values exit 2 naming the flag (Args::Reject) rather than
+/// tripping a library precondition later.
 SimConfig ConfigFrom(const Args& args) {
   SimConfig cfg;
-  cfg.topology.num_switches =
-      static_cast<int>(args.GetInt("switches", cfg.topology.num_switches));
-  cfg.topology.num_hosts =
-      static_cast<int>(args.GetInt("nodes", cfg.topology.num_hosts));
-  cfg.topology.ports_per_switch =
-      static_cast<int>(args.GetInt("ports", cfg.topology.ports_per_switch));
+  TopologySpec& topo = cfg.topology;
+  topo.num_switches = args.GetIntAtLeast("switches", topo.num_switches, 1);
+  topo.num_hosts = args.GetIntAtLeast("nodes", topo.num_hosts, 1);
+  topo.ports_per_switch =
+      args.GetIntAtLeast("ports", topo.ports_per_switch, 2);
+  // GenerateTopology keeps one port per switch for the spanning tree.
+  const long max_hosts =
+      static_cast<long>(topo.num_switches) * (topo.ports_per_switch - 1);
+  if (topo.num_hosts > max_hosts)
+    Args::Reject("nodes", std::to_string(topo.num_hosts),
+                 "at most switches x (ports - 1) = " +
+                     std::to_string(max_hosts));
   cfg.message.num_packets =
-      static_cast<int>(args.GetInt("packets", cfg.message.num_packets));
+      args.GetIntAtLeast("packets", cfg.message.num_packets, 1);
   cfg.message.packet_flits =
-      static_cast<int>(args.GetInt("packet-flits", cfg.message.packet_flits));
-  cfg.host.SetRatio(args.GetDouble("ratio", cfg.host.R()));
+      args.GetIntAtLeast("packet-flits", cfg.message.packet_flits, 1);
+  const double ratio = args.GetDouble("ratio", cfg.host.R());
+  if (ratio <= 0.0)
+    Args::Reject("ratio", args.GetString("ratio", ""), "number > 0");
+  cfg.host.SetRatio(ratio);
   // --engine vct|flit selects the network engine; --buffer-flits sizes
   // the flit engine's per-port input buffers (see docs/engines.md).
   const std::string engine_name =
       args.GetChoice("engine", ToString(cfg.engine), {"vct", "flit"});
   IRMC_ENSURE(EngineKindFromString(engine_name, &cfg.engine));
   cfg.net.buffer_flits =
-      static_cast<int>(args.GetInt("buffer-flits", cfg.net.buffer_flits));
+      args.GetIntAtLeast("buffer-flits", cfg.net.buffer_flits, 1);
   cfg.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
   // Runtime resilience (docs/resilience.md): an explicit fault schedule
   // and/or random faults with a mean time between failures. Either one
@@ -150,15 +161,29 @@ SimConfig ConfigFrom(const Args& args) {
     IRMC_ENSURE(ParseFaultSchedule(faults, &cfg.resilience.schedule) &&
                 "bad --fault-schedule (want t:sw:port[,t:sw:port...])");
   cfg.resilience.mtbf = args.GetDouble("mtbf", cfg.resilience.mtbf);
-  cfg.resilience.reconfig_delay = static_cast<Cycles>(
-      args.GetInt("reconfig-delay", cfg.resilience.reconfig_delay));
+  if (cfg.resilience.mtbf < 0.0)
+    Args::Reject("mtbf", args.GetString("mtbf", ""), "number >= 0");
+  cfg.resilience.reconfig_delay = args.GetIntAtLeast(
+      "reconfig-delay", static_cast<int>(cfg.resilience.reconfig_delay), 0);
   cfg.resilience.verify_reconfig = args.GetFlag("verify-reconfig");
   cfg.resilience.enabled =
       !cfg.resilience.schedule.empty() || cfg.resilience.mtbf > 0.0;
   // --threads N overrides IRMC_THREADS for the trial executor (1 = serial).
-  const int threads = static_cast<int>(args.GetInt("threads", 0));
+  const int threads = args.GetIntAtLeast("threads", 0, 0);
   if (threads > 0) SetParallelThreads(threads);
   return cfg;
+}
+
+/// A per-multicast destination count (--size, --degree, --sharers):
+/// 1 .. nodes - 1, since the source is never its own destination.
+int GetDestCount(const Args& args, const std::string& key, int fallback,
+                 const SimConfig& cfg) {
+  const int v = args.GetIntAtLeast(key, fallback, 1);
+  if (v >= cfg.topology.num_hosts)
+    Args::Reject(key, std::to_string(v),
+                 "at most nodes - 1 = " +
+                     std::to_string(cfg.topology.num_hosts - 1));
+  return v;
 }
 
 int Usage() {
@@ -196,9 +221,9 @@ int CmdSingle(const Args& args) {
   SingleRunSpec spec;
   spec.cfg = ConfigFrom(args);
   spec.scheme = *scheme;
-  spec.multicast_size = static_cast<int>(args.GetInt("size", 15));
-  spec.topologies = static_cast<int>(args.GetInt("topologies", 10));
-  spec.samples_per_topology = static_cast<int>(args.GetInt("samples", 4));
+  spec.multicast_size = GetDestCount(args, "size", 15, spec.cfg);
+  spec.topologies = args.GetIntAtLeast("topologies", 10, 1);
+  spec.samples_per_topology = args.GetIntAtLeast("samples", 4, 1);
   const TraceSpec tspec = GetTraceSpec(args);
   Tracer tracer;
   if (tspec.enabled()) {
@@ -221,11 +246,13 @@ int CmdLoad(const Args& args) {
   LoadRunSpec spec;
   spec.cfg = ConfigFrom(args);
   spec.scheme = *scheme;
-  spec.degree = static_cast<int>(args.GetInt("degree", 8));
+  spec.degree = GetDestCount(args, "degree", 8, spec.cfg);
   spec.effective_load = args.GetDouble("load", 0.2);
-  spec.horizon = args.GetInt("horizon", 150'000);
+  if (spec.effective_load <= 0.0)
+    Args::Reject("load", args.GetString("load", ""), "number > 0");
+  spec.horizon = args.GetIntAtLeast("horizon", 150'000, 1);
   spec.warmup = spec.horizon / 10;
-  spec.topologies = static_cast<int>(args.GetInt("topologies", 2));
+  spec.topologies = args.GetIntAtLeast("topologies", 2, 1);
   const std::string pattern = args.GetChoice(
       "pattern", "uniform", {"uniform", "clustered", "hotspot"});
   if (pattern == "clustered")
@@ -256,9 +283,9 @@ int CmdDsm(const Args& args) {
   if (!scheme) return Usage();
   SimConfig cfg = ConfigFrom(args);
   DsmParams params;
-  params.sharers_per_line = static_cast<int>(args.GetInt("sharers", 8));
+  params.sharers_per_line = GetDestCount(args, "sharers", 8, cfg);
   params.write_interarrival = args.GetDouble("interarrival", 50'000.0);
-  params.topologies = static_cast<int>(args.GetInt("topologies", 3));
+  params.topologies = args.GetIntAtLeast("topologies", 3, 1);
   const TraceSpec tspec = GetTraceSpec(args);
   Tracer tracer;
   if (tspec.enabled()) {
@@ -304,7 +331,7 @@ int CmdTrace(const Args& args) {
   const auto scheme =
       MakeCliScheme(args.GetString("scheme", "tree-worm"), cfg.host);
   if (!scheme) return Usage();
-  const int size = static_cast<int>(args.GetInt("size", 8));
+  const int size = GetDestCount(args, "size", 8, cfg);
   const auto sys = System::Build(cfg.topology, cfg.seed);
 
   Tracer tracer;
