@@ -51,25 +51,6 @@
 
 namespace irmc::bench {
 
-inline const std::vector<SchemeKind>& AllSchemes() {
-  static const std::vector<SchemeKind> kSchemes{
-      SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-      SchemeKind::kTreeWorm, SchemeKind::kPathWorm};
-  return kSchemes;
-}
-
-inline std::vector<std::string> SchemeColumns(const std::string& x_label) {
-  std::vector<std::string> cols{x_label};
-  for (SchemeKind k : AllSchemes()) cols.emplace_back(ToString(k));
-  return cols;
-}
-
-/// Filesystem-safe slug for a panel title ("Fig. 6: latency vs R" ->
-/// "fig_6_latency_vs_r").
-inline std::string SlugifyTitle(const std::string& title) {
-  return report::SlugifyTitle(title);
-}
-
 /// Where sidecars go: $IRMC_METRICS_DIR, defaulting to a `bench-out/`
 /// subdirectory of the working directory (created on demand) so runs
 /// don't strew sidecars over the repo root. An explicitly empty value
@@ -94,7 +75,7 @@ class MetricsSidecar {
   explicit MetricsSidecar(const std::string& title) {
     const std::string dir = MetricsDir();
     if (dir.empty()) return;  // disabled
-    path_ = dir + "/" + SlugifyTitle(title) + ".metrics.jsonl";
+    path_ = dir + "/" + report::SlugifyTitle(title) + ".metrics.jsonl";
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     if (!out) {
       path_.clear();

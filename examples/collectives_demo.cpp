@@ -19,9 +19,7 @@ int main() {
               sys->num_nodes(), cfg.cycle_ns);
   std::printf("%-14s %12s %12s %12s\n", "mcast scheme", "broadcast",
               "barrier", "allreduce");
-  for (SchemeKind kind :
-       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-        SchemeKind::kTreeWorm, SchemeKind::kPathWorm}) {
+  for (SchemeKind kind : kAllSchemes) {
     const Cycles bcast = RunBroadcast(*sys, cfg, kind, 0);
     const Cycles barrier = RunBarrier(*sys, cfg, kind);
     const Cycles allreduce = RunAllReduce(*sys, cfg, kind, /*compute=*/100);

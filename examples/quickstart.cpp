@@ -29,9 +29,7 @@ int main() {
   std::printf("%d-way multicast from node %d, %d-flit message:\n",
               static_cast<int>(dests.size()), src,
               cfg.message.TotalFlits());
-  for (SchemeKind kind :
-       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-        SchemeKind::kTreeWorm, SchemeKind::kPathWorm}) {
+  for (SchemeKind kind : kAllSchemes) {
     const auto scheme = MakeScheme(kind, cfg.host);
     McastPlan plan = scheme->Plan(*sys, src, dests, cfg.message, cfg.headers);
     const int worms = static_cast<int>(plan.worms.size());

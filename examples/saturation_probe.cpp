@@ -19,9 +19,7 @@ int main(int argc, char** argv) {
   std::printf("%-14s %22s %18s\n", "scheme", "last sustainable load",
               "latency there");
 
-  for (SchemeKind kind :
-       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-        SchemeKind::kTreeWorm, SchemeKind::kPathWorm}) {
+  for (SchemeKind kind : kAllSchemes) {
     double sustainable = 0.0;
     double latency = 0.0;
     for (double load = 0.1; load <= 1.2; load += 0.1) {

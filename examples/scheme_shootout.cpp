@@ -22,9 +22,7 @@ int main() {
   for (double r : {0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
     double mean[4];
     int i = 0;
-    for (SchemeKind kind :
-         {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-          SchemeKind::kTreeWorm, SchemeKind::kPathWorm}) {
+    for (SchemeKind kind : kAllSchemes) {
       SingleRunSpec spec;
       spec.scheme = kind;
       spec.multicast_size = 15;

@@ -35,6 +35,11 @@ enum class SchemeKind : std::uint8_t {
   kPathWorm,         ///< MDP-LG multi-drop path worms, multi-phase (switch HW)
 };
 
+/// Every scheme, in the paper's column order (reports, panels, sweeps).
+inline constexpr SchemeKind kAllSchemes[] = {
+    SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
+    SchemeKind::kTreeWorm, SchemeKind::kPathWorm};
+
 /// Stable display name for reports and CSV headers.
 constexpr const char* ToString(SchemeKind k) {
   switch (k) {

@@ -10,19 +10,6 @@
 namespace irmc::report {
 namespace {
 
-const std::vector<SchemeKind>& PanelSchemes() {
-  static const std::vector<SchemeKind> kSchemes{
-      SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-      SchemeKind::kTreeWorm, SchemeKind::kPathWorm};
-  return kSchemes;
-}
-
-std::vector<std::string> SchemeColumns(const std::string& x_label) {
-  std::vector<std::string> cols{x_label};
-  for (SchemeKind k : PanelSchemes()) cols.emplace_back(ToString(k));
-  return cols;
-}
-
 /// Folds one data point into the panel-wide aggregates.
 void Absorb(const MetricsRegistry& point, SchemeKind scheme,
             PanelOutcome* out) {
@@ -36,7 +23,7 @@ PanelOutcome RunSinglePanel(const PanelSpec& spec) {
   PanelOutcome out(SeriesTable(spec.title, SchemeColumns("mcast_size")));
   for (int size : spec.sizes) {
     std::vector<double> row{static_cast<double>(size)};
-    for (SchemeKind scheme : PanelSchemes()) {
+    for (SchemeKind scheme : kAllSchemes) {
       SingleRunSpec rs;
       rs.cfg = spec.cfg;
       rs.scheme = scheme;
@@ -58,7 +45,7 @@ PanelOutcome RunLoadPanel(const PanelSpec& spec) {
   for (double load : spec.loads) {
     std::vector<double> row{load};
     std::vector<bool> saturated;
-    for (SchemeKind scheme : PanelSchemes()) {
+    for (SchemeKind scheme : kAllSchemes) {
       LoadRunSpec rs;
       rs.cfg = spec.cfg;
       rs.scheme = scheme;
@@ -161,6 +148,12 @@ std::string DefaultLedgerPath() {
   const char* dir = std::getenv("IRMC_METRICS_DIR");
   const std::string d = dir != nullptr ? std::string(dir) : "bench-out";
   return d.empty() ? std::string() : d + "/ledger.jsonl";
+}
+
+std::vector<std::string> SchemeColumns(const std::string& x_label) {
+  std::vector<std::string> cols{x_label};
+  for (SchemeKind k : kAllSchemes) cols.emplace_back(ToString(k));
+  return cols;
 }
 
 std::string SlugifyTitle(const std::string& title) {

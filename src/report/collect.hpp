@@ -83,6 +83,10 @@ bool AppendPanelRecord(const std::string& ledger_path, const PanelSpec& spec,
 /// IRMC_LEDGER disables ledger writes.
 std::string DefaultLedgerPath();
 
+/// Series-table columns of a panel: `x_label`, then one per scheme in
+/// kAllSchemes order.
+std::vector<std::string> SchemeColumns(const std::string& x_label);
+
 /// Filesystem-safe slug for a panel title ("Fig. 6: latency vs R" ->
 /// "fig_6_latency_vs_r") — names the metric sidecar files the benches
 /// write and irmc_report html reads back.

@@ -104,4 +104,10 @@ Graph GenerateTopology(const TopologySpec& spec, std::uint64_t seed) {
   return g;
 }
 
+long MaxHostsFor(int num_switches, int ports_per_switch) {
+  const long switches = num_switches;
+  if (switches <= 2) return switches * (ports_per_switch - 1);
+  return switches * (ports_per_switch - 2) + 1;
+}
+
 }  // namespace irmc

@@ -32,4 +32,11 @@ struct TopologySpec {
 /// Aborts (precondition) if the spec cannot host the requested nodes.
 Graph GenerateTopology(const TopologySpec& spec, std::uint64_t seed);
 
+/// The most hosts GenerateTopology places on `num_switches` switches of
+/// `ports_per_switch` ports for every seed. Each switch keeps a port for
+/// the spanning tree; beyond two switches at most one may keep only
+/// that one, since two such switches drawn first into the random tree
+/// would leave it no free port to grow from.
+long MaxHostsFor(int num_switches, int ports_per_switch);
+
 }  // namespace irmc

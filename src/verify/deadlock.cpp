@@ -1,8 +1,6 @@
 #include "verify/deadlock.hpp"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <set>
 #include <utility>
 
@@ -11,30 +9,12 @@
 namespace irmc::verify {
 namespace {
 
-/// snprintf into a std::string for witness lines.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 1, 2)))
-#endif
-std::string
-Fmt(const char* fmt, ...) {
-  char buf[320];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  return std::string(buf);
-}
-
-/// True when (s, p) is a live switch-to-switch port.
-bool IsSwitchPort(const Graph& g, SwitchId s, PortId p) {
-  return p >= 0 && p < g.ports_per_switch() &&
-         g.port(s, p).kind == PortKind::kSwitch;
-}
-
-/// Builds the dense channel universe: every switch-to-switch and
-/// host-ejection port. Returns the (s*ports + p) -> dense id map
-/// (-1 = not a channel).
-std::vector<int> MapChannels(const Graph& g, ExtCdg& cdg) {
+/// Builds the dense channel universe in (switch, port) order: every
+/// switch-to-switch port, plus every host-ejection port when
+/// `with_ejection`. Returns the (s*ports + p) -> dense id map (-1 = not
+/// a channel).
+std::vector<int> MapChannels(const Graph& g, bool with_ejection,
+                             ExtCdg& cdg) {
   const int ports = g.ports_per_switch();
   std::vector<int> dense(
       static_cast<std::size_t>(g.num_switches()) *
@@ -43,7 +23,8 @@ std::vector<int> MapChannels(const Graph& g, ExtCdg& cdg) {
   for (SwitchId s = 0; s < g.num_switches(); ++s) {
     for (PortId p = 0; p < ports; ++p) {
       const Port& pt = g.port(s, p);
-      if (pt.kind != PortKind::kSwitch && pt.kind != PortKind::kHost)
+      if (pt.kind != PortKind::kSwitch &&
+          !(with_ejection && pt.kind == PortKind::kHost))
         continue;
       dense[static_cast<std::size_t>(s) * static_cast<std::size_t>(ports) +
             static_cast<std::size_t>(p)] =
@@ -53,6 +34,18 @@ std::vector<int> MapChannels(const Graph& g, ExtCdg& cdg) {
     }
   }
   return dense;
+}
+
+/// Dense id of channel (s, p) in a MapChannels map (-1 = not a channel).
+int ChannelAt(const std::vector<int>& dense, int ports, SwitchId s, PortId p) {
+  return dense[static_cast<std::size_t>(s) * static_cast<std::size_t>(ports) +
+               static_cast<std::size_t>(p)];
+}
+
+/// The phase of a packet that crossed switch-to-switch channel (s, p):
+/// down-only iff the traversal was a down move.
+RoutePhase PhaseAfter(const UpDownOrientation& ud, SwitchId s, PortId p) {
+  return ud.IsUp(s, p) ? RoutePhase::kUpAllowed : RoutePhase::kDownOnly;
 }
 
 /// Deduplicating edge sink for one source channel.
@@ -95,12 +88,8 @@ void AddRouteEdges(const System& sys, SchemeKind scheme, RoutingMode mode,
   const Graph& g = sys.graph;
   const int ports = g.ports_per_switch();
   const SwitchId t = g.port(s, p).peer_switch;
-  const RoutePhase phase = sys.updown.IsUp(s, p) ? RoutePhase::kUpAllowed
-                                                 : RoutePhase::kDownOnly;
-  auto id_at_t = [&](PortId q) {
-    return dense[static_cast<std::size_t>(t) * static_cast<std::size_t>(ports) +
-                 static_cast<std::size_t>(q)];
-  };
+  const RoutePhase phase = PhaseAfter(sys.updown, s, p);
+  auto id_at_t = [&](PortId q) { return ChannelAt(dense, ports, t, q); };
   auto add_host = [&](NodeId n) {
     sink.Add(id_at_t(g.host(n).port), DepKind::kRoute);
   };
@@ -198,11 +187,7 @@ void AddCouplingEdges(const System& sys, SchemeKind scheme,
   };
 
   for (SwitchId t = 0; t < g.num_switches(); ++t) {
-    auto id_at = [&](PortId q) {
-      return dense[static_cast<std::size_t>(t) *
-                       static_cast<std::size_t>(ports) +
-                   static_cast<std::size_t>(q)];
-    };
+    auto id_at = [&](PortId q) { return ChannelAt(dense, ports, t, q); };
     std::vector<int> hosts;
     for (NodeId n : g.HostsAt(t)) hosts.push_back(id_at(g.host(n).port));
 
@@ -328,7 +313,7 @@ ExtCdg BuildExtendedCdg(const System& sys, SchemeKind scheme,
                        std::max(1, cdg.buffer_flits);
 
   const Graph& g = sys.graph;
-  const std::vector<int> dense = MapChannels(g, cdg);
+  const std::vector<int> dense = MapChannels(g, /*with_ejection=*/true, cdg);
 
   std::vector<NodeSet> singles;
   singles.reserve(static_cast<std::size_t>(g.num_hosts()));
@@ -354,6 +339,48 @@ ExtCdg BuildExtendedCdg(const System& sys, SchemeKind scheme,
     AddAbsorptionEdges(cdg);
   }
   return cdg;
+}
+
+CheckResult CheckDeadlockFreedom(const Graph& g, const UpDownOrientation& ud,
+                                 const RoutingView& routing) {
+  CheckResult r;
+  r.name = "deadlock-freedom";
+  // Unicast CDG: switch-to-switch channels only (injection and ejection
+  // channels are sources/sinks and cannot lie on a cycle). A packet that
+  // arrived at t over (s, p) may request every candidate of t toward any
+  // other switch, in the phase s -> p left it in.
+  ExtCdg cdg;
+  const std::vector<int> dense = MapChannels(g, /*with_ejection=*/false, cdg);
+  const int ports = g.ports_per_switch();
+  std::vector<int> stamp(cdg.channels.size(), 0);
+  EdgeSink sink(cdg, stamp);
+  for (std::size_t id = 0; id < cdg.channels.size(); ++id) {
+    const ChannelRef& c = cdg.channels[id];
+    const SwitchId t = g.port(c.sw, c.port).peer_switch;
+    const RoutePhase phase = PhaseAfter(ud, c.sw, c.port);
+    sink.Begin(static_cast<int>(id));
+    for (SwitchId d = 0; d < g.num_switches(); ++d) {
+      if (d == t) continue;
+      for (PortId q : routing.candidates(t, d, phase))
+        if (IsSwitchPort(g, t, q))
+          sink.Add(ChannelAt(dense, ports, t, q), DepKind::kRoute);
+    }
+  }
+
+  r.checked = static_cast<long long>(cdg.channels.size());
+  r.note = Fmt("%lld channels, %lld dependencies", r.checked, cdg.route_edges);
+  if (const auto cycle = FindDependencyCycle(cdg)) {
+    std::string text = "channel dependency cycle:";
+    for (int id : cycle->channels) {
+      const ChannelRef& c = cdg.channels[static_cast<std::size_t>(id)];
+      text += Fmt(" (%d:%d) ->", c.sw, c.port);
+    }
+    const ChannelRef& first =
+        cdg.channels[static_cast<std::size_t>(cycle->channels.front())];
+    text += Fmt(" (%d:%d)", first.sw, first.port);
+    r.AddViolation(std::move(text));
+  }
+  return r;
 }
 
 std::optional<DepCycle> FindDependencyCycle(const ExtCdg& cdg) {
@@ -493,9 +520,7 @@ CheckResult CheckMulticastDeadlock(const System& sys,
   r.name = "multicast-deadlock";
   long long route = 0, absorption = 0, coupling = 0;
   long long channels = 0;
-  for (SchemeKind scheme :
-       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-        SchemeKind::kTreeWorm, SchemeKind::kPathWorm}) {
+  for (SchemeKind scheme : kAllSchemes) {
     for (RoutingMode mode :
          {RoutingMode::kDeterministic, RoutingMode::kAdaptive}) {
       const SchemeDeadlockResult res =

@@ -1,11 +1,13 @@
 // Static deadlock-freedom analyzer for multidestination wormhole
 // routing (docs/verification.md § "Static deadlock analysis").
 //
-// The existing deadlock-freedom invariant (topology/deadlock_check.hpp)
-// proves the *unicast* channel-dependency graph acyclic — which is
-// necessary but nowhere near sufficient for the paper's multidestination
-// schemes. A tree worm couples every channel it holds: a flit is freed
-// from the shared input buffer only when *every* branch has consumed it,
+// The deadlock-freedom invariant (CheckDeadlockFreedom, invariants.hpp)
+// proves the *unicast* channel-dependency graph acyclic; it is built
+// here, as the kRoute edges of an ExtCdg over the switch-to-switch
+// channels, and shares FindDependencyCycle. That is necessary but
+// nowhere near sufficient for the paper's multidestination schemes. A
+// tree worm couples every channel it holds: a flit is freed from the
+// shared input buffer only when *every* branch has consumed it,
 // so when the worm is too long to be absorbed (`buffer_flits` smaller
 // than the worm's wire length, header flits included) a blocked branch
 // starves its siblings and the cross-branch dependencies are not ordered

@@ -1,28 +1,10 @@
 #include "verify/invariants.hpp"
 
-#include <cstdarg>
-#include <cstdio>
 #include <queue>
 #include <utility>
 
-#include "topology/deadlock_check.hpp"
-
 namespace irmc::verify {
 namespace {
-
-/// snprintf into a std::string for witness lines.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 1, 2)))
-#endif
-std::string
-Fmt(const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  return std::string(buf);
-}
 
 constexpr int kUnreachable = -1;
 
@@ -108,19 +90,16 @@ GroundTruth ComputeGroundTruth(const Graph& g, const UpDownOrientation& ud) {
   return gt;
 }
 
-/// True when (s, p) is a live switch-to-switch port of g.
+}  // namespace
+
 bool IsSwitchPort(const Graph& g, SwitchId s, PortId p) {
   return p >= 0 && p < g.ports_per_switch() &&
          g.port(s, p).kind == PortKind::kSwitch;
 }
 
-}  // namespace
-
 RoutingView ViewOf(const RoutingTable& rt) {
-  // The view borrows rt; keep the System alive while checking.
   return RoutingView{[&rt](SwitchId here, SwitchId dest, RoutePhase phase) {
-    const auto cand = rt.Candidates(here, dest, phase);
-    return std::vector<PortId>(cand.begin(), cand.end());
+    return rt.Candidates(here, dest, phase);
   }};
 }
 
@@ -348,25 +327,6 @@ CheckResult CheckPairwiseReachability(const Graph& g,
   return r;
 }
 
-CheckResult CheckDeadlockFreedom(const System& sys) {
-  CheckResult r;
-  r.name = "deadlock-freedom";
-  const DeadlockCheckResult res = CheckChannelDependencies(sys);
-  r.checked = res.num_channels;
-  r.note = Fmt("%d channels, %d dependencies", res.num_channels,
-               res.num_dependencies);
-  if (!res.acyclic) {
-    std::string cycle = "channel dependency cycle:";
-    for (const auto& [sw, port] : res.cycle)
-      cycle += Fmt(" (%d:%d) ->", sw, port);
-    if (!res.cycle.empty())
-      cycle += Fmt(" (%d:%d)", res.cycle.front().first,
-                   res.cycle.front().second);
-    r.AddViolation(std::move(cycle));
-  }
-  return r;
-}
-
 CheckResult CheckReachabilityStrings(const Graph& g,
                                      const UpDownOrientation& ud,
                                      const ReachabilityView& reach) {
@@ -456,7 +416,8 @@ VerifyReport VerifySystem(const System& sys, std::string label) {
       CheckPhaseRule(sys.graph, sys.updown, ViewOf(sys.routing)));
   report.checks.push_back(
       CheckPairwiseReachability(sys.graph, sys.updown, ViewOf(sys.routing)));
-  report.checks.push_back(CheckDeadlockFreedom(sys));
+  report.checks.push_back(
+      CheckDeadlockFreedom(sys.graph, sys.updown, ViewOf(sys.routing)));
   report.checks.push_back(
       CheckReachabilityStrings(sys.graph, sys.updown, ViewOf(sys.reach)));
   return report;

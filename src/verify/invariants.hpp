@@ -13,9 +13,10 @@
 //                      no dead-end states (every reachable (switch,
 //                      phase) state keeps a non-empty candidate set);
 //  * deadlock freedom — the channel dependency graph of the routing
-//                      function is acyclic (Dally & Seitz, via the
-//                      existing CheckChannelDependencies), with any
-//                      witness cycle rendered into the report;
+//                      function is acyclic (Dally & Seitz), with any
+//                      witness cycle rendered into the report. It is
+//                      the route-edge part of the extended CDG in
+//                      verify/deadlock.hpp and shares its cycle finder;
 //  * string soundness + exactly-once coverage — raw reachability strings
 //                      contain exactly the down-reachable nodes, and the
 //                      partitioned ("primary") strings are disjoint
@@ -34,8 +35,8 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "common/nodeset.hpp"
 #include "topology/routing_table.hpp"
@@ -45,10 +46,12 @@
 namespace irmc::verify {
 
 /// Routing-table view: candidate output ports at `here` for a packet
-/// headed to switch `dest` in `phase` (by value, so wrappers can edit).
+/// headed to switch `dest` in `phase`. The span stays valid until the
+/// next call on the same view, so a wrapper that edits candidates keeps
+/// them in storage its callable owns.
 struct RoutingView {
-  std::function<std::vector<PortId>(SwitchId here, SwitchId dest,
-                                    RoutePhase phase)>
+  std::function<std::span<const PortId>(SwitchId here, SwitchId dest,
+                                        RoutePhase phase)>
       candidates;
 };
 
@@ -59,8 +62,13 @@ struct ReachabilityView {
   std::function<NodeSet(SwitchId sw, PortId port)> primary;
 };
 
+/// Both views borrow their argument; keep the System alive while
+/// checking.
 RoutingView ViewOf(const RoutingTable& rt);
 ReachabilityView ViewOf(const Reachability& reach);
+
+/// True when (s, p) is a live switch-to-switch port of g.
+bool IsSwitchPort(const Graph& g, SwitchId s, PortId p);
 
 /// Graph self-consistency: link symmetry (the peer of a switch port
 /// points back), valid peer/host indices, host attachments matching
@@ -78,9 +86,12 @@ CheckResult CheckPairwiseReachability(const Graph& g,
                                       const UpDownOrientation& ud,
                                       const RoutingView& routing);
 
-/// Invariant (3): channel dependency graph acyclicity, witness cycle
-/// rendered into the result.
-CheckResult CheckDeadlockFreedom(const System& sys);
+/// Invariant (3): the unicast channel dependency graph over the
+/// switch-to-switch channels is acyclic; a witness cycle is rendered
+/// into the result. Defined in verify/deadlock.cpp, next to the extended
+/// CDG it is built on.
+CheckResult CheckDeadlockFreedom(const Graph& g, const UpDownOrientation& ud,
+                                 const RoutingView& routing);
 
 /// Invariant (4): reachability-string soundness and exactly-once
 /// partition coverage.

@@ -1,5 +1,7 @@
 #include "verify/report.hpp"
 
+#include <cstdarg>
+#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -55,6 +57,15 @@ std::string Render(const VerifyReport& report) {
           << " more\n";
   }
   return out.str();
+}
+
+std::string Fmt(const char* fmt, ...) {
+  char buf[320];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  return std::string(buf);
 }
 
 }  // namespace irmc::verify

@@ -50,4 +50,12 @@ struct VerifyReport {
 /// failing checks additionally list their witnesses.
 std::string Render(const VerifyReport& report);
 
+/// snprintf into a std::string, for witness and note lines (at most 319
+/// characters).
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((format(printf, 1, 2)))
+#endif
+std::string
+Fmt(const char* fmt, ...);
+
 }  // namespace irmc::verify

@@ -39,19 +39,38 @@ expect_rejected(nodes ${IRMCSIM_CLI} single --nodes -5)
 expect_rejected(nodes ${IRMCSIM_CLI} topology --switches 2 --ports 4
                 --nodes 7)
 expect_rejected(size ${IRMCSIM_CLI} single --size 32)
+# Fits switches x (ports - 1) but not the spanning tree: four switches
+# each left with one free port.
+expect_rejected(nodes ${IRMCSIM_CLI} topology --switches 4 --nodes 28)
+expect_rejected(switches ${IRMC_VERIFY} --switches 2)
+expect_rejected(switches ${IRMC_VERIFY} --switches 4 --ports 2)
+expect_rejected(ports ${IRMC_VERIFY} --ports 1)
+expect_rejected(nodes ${IRMC_VERIFY} --switches 8,16 --nodes 50)
+expect_rejected(nodes ${IRMC_VERIFY} --switches 4 --nodes 28)
+expect_rejected(trials ${IRMC_VERIFY} --trials 0)
+expect_rejected(faults ${IRMC_VERIFY} --faults -1)
+expect_rejected(buffer-flits ${IRMC_VERIFY} --deadlock --buffer-flits 0)
 
 # Malformed numbers: none may silently run the default instead.
 expect_rejected(switches ${IRMCSIM_CLI} single --switches 8x)
 expect_rejected(ratio ${IRMCSIM_CLI} single --ratio abc)
 expect_rejected(trials ${IRMC_VERIFY} --trials 2x)
+expect_rejected(switches ${IRMC_VERIFY} --switches 8x)
+expect_rejected(switches ${IRMC_VERIFY} --switches 8,,16)
 
-# A valid small run still succeeds.
-execute_process(
-  COMMAND ${IRMCSIM_CLI} single --switches 8 --packets 1 --size 4
-          --topologies 1 --samples 1
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "valid run failed with ${rc}:\n${out}\n${err}")
-endif()
+# Valid small runs still succeed, on both binaries; the second fills
+# its smallest switch count to the generator's limit.
+function(expect_ok)
+  execute_process(
+    COMMAND ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "valid run failed with ${rc}: ${ARGN}\n${out}\n${err}")
+  endif()
+endfunction()
+
+expect_ok(${IRMCSIM_CLI} single --switches 8 --packets 1 --size 4
+          --topologies 1 --samples 1)
+expect_ok(${IRMC_VERIFY} --trials 4 --switches 4,8 --nodes 25)

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -288,9 +289,11 @@ TEST(DeadlockMutation, CorruptedRoutingRingIsFlaggedAsRouteCycle) {
   const System sys{std::move(g)};
 
   RoutingView ring;
-  ring.candidates = [](SwitchId here, SwitchId dest, RoutePhase) {
-    if (here == dest) return std::vector<PortId>{};
-    return std::vector<PortId>{0};  // clockwise, phase ignored: illegal
+  // Clockwise, phase ignored: illegal.
+  ring.candidates = [clockwise = std::vector<PortId>{0}](
+                        SwitchId here, SwitchId dest, RoutePhase) {
+    return here == dest ? std::span<const PortId>()
+                        : std::span<const PortId>(clockwise);
   };
   DeadlockSpec spec;  // defaults: absorbing buffers
   const ExtCdg cdg =

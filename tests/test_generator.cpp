@@ -121,5 +121,23 @@ TEST(Generator, LinkUtilizationZeroGivesSpanningTreeOnly) {
   EXPECT_EQ(g.NumLinks(), spec.num_switches - 1);
 }
 
+TEST(Generator, MaxHostsForFitsEverySeed) {
+  // At the limit every seed must build; one node more leaves too few
+  // free ports for some random spanning-tree orders (the CLIs reject it).
+  for (int switches = 1; switches <= 6; ++switches) {
+    for (int ports = 2; ports <= 6; ++ports) {
+      TopologySpec spec;
+      spec.num_switches = switches;
+      spec.ports_per_switch = ports;
+      spec.num_hosts = static_cast<int>(MaxHostsFor(switches, ports));
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        const Graph g = GenerateTopology(spec, seed);
+        EXPECT_EQ(g.num_hosts(), spec.num_hosts);
+        EXPECT_TRUE(g.Connected());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace irmc

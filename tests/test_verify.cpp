@@ -7,13 +7,18 @@
 //
 //   illegal down->up entry         -> phase-rule
 //   unreachable pair               -> pairwise-reachability
+//   planted routing cycle          -> deadlock-freedom
 //   raw string over/under-coverage -> reachability-strings
 //   partition overlap / gap        -> reachability-strings
 #include "verify/invariants.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "topology/fault.hpp"
 #include "topology/generator.hpp"
@@ -59,16 +64,51 @@ TEST_F(VerifyMutation, CleanSystemPassesEveryCheck) {
 }
 
 TEST(VerifySweep, SizesSeedsAndRootPoliciesStayClean) {
+  std::vector<std::pair<std::string, System>> systems;
   for (int switches : {8, 16, 32}) {
     for (std::uint64_t seed : {11u, 22u, 33u}) {
-      TopologySpec spec;
-      spec.num_switches = switches;
-      spec.num_hosts = 32;
-      const System sys(GenerateTopology(spec, seed));
-      const VerifyReport report = VerifySystem(sys);
-      EXPECT_TRUE(report.pass()) << "S=" << switches << " seed=" << seed
-                                 << "\n" << Render(report);
+      for (RootPolicy policy :
+           {RootPolicy::kLowestId, RootPolicy::kMaxDegree,
+            RootPolicy::kMinEccentricity}) {
+        TopologySpec spec;
+        spec.num_switches = switches;
+        spec.num_hosts = 32;
+        systems.emplace_back("S=" + std::to_string(switches) +
+                                 " seed=" + std::to_string(seed) + " root " +
+                                 ToString(policy),
+                             System(GenerateTopology(spec, seed), policy));
+      }
     }
+  }
+  // A 4-switch ring: unrestricted minimal routing would have a cyclic
+  // channel dependency; up*/down* breaks it at the root.
+  Graph ring(4, 4);
+  ring.AddLink(0, 0, 1, 0);
+  ring.AddLink(1, 1, 2, 0);
+  ring.AddLink(2, 1, 3, 0);
+  ring.AddLink(3, 1, 0, 1);
+  ring.AttachHost(0, 3);
+  ring.AttachHost(2, 3);
+  systems.emplace_back("4-switch ring", System(std::move(ring)));
+
+  for (const auto& [label, sys] : systems) {
+    const VerifyReport report = VerifySystem(sys, label);
+    EXPECT_TRUE(report.pass()) << Render(report);
+    // The unicast CDG holds one channel per direction of every link,
+    // and each channel has between 1 and ports - 1 dependencies.
+    const CheckResult* check = report.Find("deadlock-freedom");
+    ASSERT_NE(check, nullptr);
+    EXPECT_EQ(check->checked, 2 * sys.graph.NumLinks()) << label;
+    long long channels = 0, dependencies = 0;
+    ASSERT_EQ(std::sscanf(check->note.c_str(),
+                          "%lld channels, %lld dependencies", &channels,
+                          &dependencies),
+              2)
+        << check->note;
+    EXPECT_EQ(channels, check->checked) << label;
+    EXPECT_GT(dependencies, 0) << label;
+    EXPECT_LE(dependencies, channels * (sys.graph.ports_per_switch() - 1))
+        << label;
   }
 }
 
@@ -118,13 +158,17 @@ TEST_F(VerifyMutation, IllegalDownToUpEntryIsFlagged) {
 
   const RoutingView base = ViewOf(sys_.routing);
   RoutingView mutated;
-  mutated.candidates = [&base, mut_here, mut_dest, up_port](
-                           SwitchId here, SwitchId dest, RoutePhase phase) {
-    std::vector<PortId> cands = base.candidates(here, dest, phase);
-    if (here == mut_here && dest == mut_dest &&
-        phase == RoutePhase::kDownOnly)
-      cands.push_back(up_port);
-    return cands;
+  mutated.candidates = [&base, mut_here, mut_dest, up_port,
+                        edited = std::vector<PortId>()](
+                           SwitchId here, SwitchId dest,
+                           RoutePhase phase) mutable {
+    const std::span<const PortId> cands = base.candidates(here, dest, phase);
+    if (here != mut_here || dest != mut_dest ||
+        phase != RoutePhase::kDownOnly)
+      return cands;
+    edited.assign(cands.begin(), cands.end());
+    edited.push_back(up_port);
+    return std::span<const PortId>(edited);
   };
 
   const CheckResult clean =
@@ -161,7 +205,7 @@ TEST_F(VerifyMutation, UnreachablePairIsFlagged) {
   RoutingView mutated;
   mutated.candidates = [&base, mut_src, mut_dest](
                            SwitchId here, SwitchId dest, RoutePhase phase) {
-    if (here == mut_src && dest == mut_dest) return std::vector<PortId>{};
+    if (here == mut_src && dest == mut_dest) return std::span<const PortId>();
     return base.candidates(here, dest, phase);
   };
 
@@ -171,6 +215,42 @@ TEST_F(VerifyMutation, UnreachablePairIsFlagged) {
   EXPECT_TRUE(AnyWitnessContains(r, "no deterministic route"));
   EXPECT_TRUE(AnyWitnessContains(r, "dead end") ||
               AnyWitnessContains(r, "no adaptive route"));
+}
+
+// --- mutation class: planted routing cycle ---------------------------
+
+TEST_F(VerifyMutation, PlantedRoutingCycleIsFlagged) {
+  // Triangle of switches with a routing view that always forwards
+  // clockwise, whatever the phase: the unicast channel dependencies
+  // close a cycle, which up*/down* tables never do.
+  Graph g(3, 4);
+  g.AddLink(0, 0, 1, 1);
+  g.AddLink(1, 0, 2, 1);
+  g.AddLink(2, 0, 0, 1);
+  g.AttachHost(0, 2);
+  g.AttachHost(1, 2);
+  g.AttachHost(2, 2);
+  const System sys{std::move(g)};
+
+  RoutingView clockwise;
+  clockwise.candidates = [port = std::vector<PortId>{0}](
+                             SwitchId here, SwitchId dest, RoutePhase) {
+    return here == dest ? std::span<const PortId>()
+                        : std::span<const PortId>(port);
+  };
+
+  const CheckResult r =
+      CheckDeadlockFreedom(sys.graph, sys.updown, clockwise);
+  EXPECT_FALSE(r.pass);
+  EXPECT_EQ(r.violations, 1);
+  ASSERT_EQ(r.witnesses.size(), 1u);
+  EXPECT_EQ(r.witnesses.front(),
+            "channel dependency cycle: (0:0) -> (1:0) -> (2:0) -> (0:0)");
+  // The legal tables on the same graph are clean.
+  const CheckResult legal =
+      CheckDeadlockFreedom(sys.graph, sys.updown, ViewOf(sys.routing));
+  EXPECT_TRUE(legal.pass) << Render(VerifyReport{"legal", {legal}});
+  EXPECT_EQ(legal.checked, 6);
 }
 
 // --- mutation classes: reachability strings --------------------------

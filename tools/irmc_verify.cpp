@@ -17,7 +17,11 @@
 //
 // Prints failing reports (all reports with --verbose) and exits 0 only
 // when every verified System passes every invariant.
+#include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -66,17 +70,24 @@ int Usage() {
   return 2;
 }
 
+/// --switches: comma-separated switch counts, each a whole integer >= 1;
+/// anything else (`8x`, an empty item) exits 2 naming the flag.
 std::vector<int> ParseSwitchList(const std::string& list) {
   std::vector<int> out;
-  std::istringstream in(list);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
-    const int v = std::atoi(item.c_str());
-    if (v <= 0) return {};
-    out.push_back(v);
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t end = list.find(',', begin);
+    const std::string item = list.substr(begin, end - begin);
+    char* stop = nullptr;
+    errno = 0;
+    const long v = std::strtol(item.c_str(), &stop, 10);
+    if (item.empty() || *stop != '\0' || errno == ERANGE || v < 1 ||
+        v > INT_MAX)
+      Args::Reject("switches", list, "comma-separated integers >= 1");
+    out.push_back(static_cast<int>(v));
+    if (end == std::string::npos) return out;
+    begin = end + 1;
   }
-  return out;
 }
 
 struct Tally {
@@ -188,13 +199,13 @@ int main(int argc, char** argv) {
   }
   if (!args.command().empty()) return Usage();
 
-  const int trials = static_cast<int>(args.GetInt("trials", 20));
+  const int trials = args.GetIntAtLeast("trials", 20, 1);
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::vector<int> sizes =
-      ParseSwitchList(args.GetString("switches", "8,16,32"));
-  const int nodes = static_cast<int>(args.GetInt("nodes", 32));
-  const int ports = static_cast<int>(args.GetInt("ports", 8));
-  const int faults = static_cast<int>(args.GetInt("faults", 0));
+  const std::string switch_list = args.GetString("switches", "8,16,32");
+  const std::vector<int> sizes = ParseSwitchList(switch_list);
+  const int nodes = args.GetIntAtLeast("nodes", 32, 1);
+  const int ports = args.GetIntAtLeast("ports", 8, 2);
+  const int faults = args.GetIntAtLeast("faults", 0, 0);
   const std::string load = args.GetString("load", "");
 
   VerifyOpts opts;
@@ -203,19 +214,31 @@ int main(int argc, char** argv) {
   const std::string engine = args.GetChoice("engine", "flit", {"vct", "flit"});
   opts.spec.engine = engine == "vct" ? EngineKind::kVct : EngineKind::kFlit;
   opts.spec.net.buffer_flits =
-      static_cast<int>(args.GetInt("buffer-flits", opts.spec.net.buffer_flits));
+      args.GetIntAtLeast("buffer-flits", opts.spec.net.buffer_flits, 1);
   opts.spec.payload_flits =
-      static_cast<int>(args.GetInt("payload-flits", opts.spec.payload_flits));
+      args.GetIntAtLeast("payload-flits", opts.spec.payload_flits, 1);
 
   for (const std::string& key : args.UnconsumedKeys()) {
     std::fprintf(stderr, "unknown option: --%s\n", key.c_str());
     return Usage();
   }
-  if (sizes.empty() || trials <= 0 || nodes <= 0 || ports <= 0 || faults < 0 ||
-      opts.spec.net.buffer_flits <= 0 || opts.spec.payload_flits <= 0)
-    return Usage();
 
   if (!load.empty()) return RunLoaded(load, faults, opts);
+
+  // Every generated topology must hold the nodes (GenerateTopology's
+  // precondition); blame --nodes when it was given, else --switches.
+  const int smallest = *std::min_element(sizes.begin(), sizes.end());
+  const long max_nodes = MaxHostsFor(smallest, ports);
+  if (nodes > max_nodes) {
+    const std::string limit = "at most " + std::to_string(max_nodes) +
+                              " nodes on " + std::to_string(smallest) +
+                              " switches of " + std::to_string(ports) +
+                              " ports";
+    if (args.Has("nodes")) Args::Reject("nodes", std::to_string(nodes), limit);
+    Args::Reject("switches", switch_list,
+                 "counts that hold " + std::to_string(nodes) + " nodes; " +
+                     limit);
+  }
 
   Tally tally;
   for (int i = 0; i < trials; ++i) {

@@ -36,6 +36,7 @@
 #include "mcast/scheme.hpp"
 #include "metrics/export.hpp"
 #include "resilience/fault_schedule.hpp"
+#include "topology/generator.hpp"
 #include "topology/serialize.hpp"
 #include "topology/system.hpp"
 #include "trace/analysis.hpp"
@@ -48,9 +49,7 @@ namespace {
 using namespace irmc;
 
 std::optional<SchemeKind> ParseScheme(const std::string& name) {
-  for (SchemeKind k :
-       {SchemeKind::kUnicastBinomial, SchemeKind::kNiKBinomial,
-        SchemeKind::kTreeWorm, SchemeKind::kPathWorm})
+  for (SchemeKind k : kAllSchemes)
     if (name == ToString(k) || name == ToIdent(k)) return k;
   return std::nullopt;
 }
@@ -130,13 +129,12 @@ SimConfig ConfigFrom(const Args& args) {
   topo.num_hosts = args.GetIntAtLeast("nodes", topo.num_hosts, 1);
   topo.ports_per_switch =
       args.GetIntAtLeast("ports", topo.ports_per_switch, 2);
-  // GenerateTopology keeps one port per switch for the spanning tree.
-  const long max_hosts =
-      static_cast<long>(topo.num_switches) * (topo.ports_per_switch - 1);
+  const long max_hosts = MaxHostsFor(topo.num_switches, topo.ports_per_switch);
   if (topo.num_hosts > max_hosts)
     Args::Reject("nodes", std::to_string(topo.num_hosts),
-                 "at most switches x (ports - 1) = " +
-                     std::to_string(max_hosts));
+                 "at most " + std::to_string(max_hosts) + " nodes on " +
+                     std::to_string(topo.num_switches) + " switches of " +
+                     std::to_string(topo.ports_per_switch) + " ports");
   cfg.message.num_packets =
       args.GetIntAtLeast("packets", cfg.message.num_packets, 1);
   cfg.message.packet_flits =
