@@ -16,12 +16,12 @@ class Engine {
   Cycles Now() const { return queue_.Now(); }
 
   /// Schedule `action` `delay` cycles from now (delay >= 0).
-  void ScheduleAfter(Cycles delay, EventQueue::Action action) {
+  void ScheduleAfter(Cycles delay, EventQueue::Action&& action) {
     IRMC_EXPECT(delay >= 0);
     queue_.ScheduleAt(Now() + delay, std::move(action));
   }
 
-  void ScheduleAt(Cycles when, EventQueue::Action action) {
+  void ScheduleAt(Cycles when, EventQueue::Action&& action) {
     queue_.ScheduleAt(when, std::move(action));
   }
 

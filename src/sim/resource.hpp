@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "common/expect.hpp"
 #include "common/types.hpp"
@@ -50,11 +49,18 @@ class CountingResource {
   explicit CountingResource(int slots) : available_(slots) {
     IRMC_EXPECT(slots > 0);
   }
+  // Waiting actions are move-only. Without these, vector growth would
+  // pick std::deque's (ill-formed) copy over its potentially throwing
+  // move; a failed allocation while moving ends the run either way.
+  CountingResource(const CountingResource&) = delete;
+  CountingResource& operator=(const CountingResource&) = delete;
+  CountingResource(CountingResource&&) noexcept = default;
+  CountingResource& operator=(CountingResource&&) noexcept = default;
 
   /// Acquire one slot; `granted` runs immediately (same timestamp) if a
   /// slot is free, otherwise when a slot is released, in FIFO order.
-  void Acquire(Engine& engine, std::function<void()> granted) {
-    IRMC_EXPECT(granted != nullptr);
+  void Acquire(Engine& engine, EventQueue::Action&& granted) {
+    IRMC_EXPECT(static_cast<bool>(granted));
     if (available_ > 0) {
       --available_;
       engine.ScheduleAfter(0, std::move(granted));
@@ -69,9 +75,8 @@ class CountingResource {
   /// current timestamp.
   void Release(Engine& engine) {
     if (!waiters_.empty()) {
-      auto granted = std::move(waiters_.front());
+      engine.ScheduleAfter(0, std::move(waiters_.front()));
       waiters_.pop_front();
-      engine.ScheduleAfter(0, std::move(granted));
     } else {
       ++available_;
     }
@@ -85,7 +90,7 @@ class CountingResource {
 
  private:
   int available_;
-  std::deque<std::function<void()>> waiters_;
+  std::deque<EventQueue::Action> waiters_;
   std::int64_t max_queue_ = 0;
 };
 

@@ -25,14 +25,19 @@ Graph GenerateTopology(const TopologySpec& spec, std::uint64_t seed) {
   IRMC_EXPECT(spec.num_switches > 0);
   IRMC_EXPECT(spec.ports_per_switch > 1);
   IRMC_EXPECT(spec.num_hosts >= 0);
+  // Checked up front: past this limit only some seeds leave the random
+  // spanning tree a free port, so the failure would depend on the seed.
+  IRMC_EXPECT_MSG(
+      spec.num_hosts <= MaxHostsFor(spec.num_switches, spec.ports_per_switch),
+      "%d hosts exceed MaxHostsFor(%d switches, %d ports) = %ld",
+      spec.num_hosts, spec.num_switches, spec.ports_per_switch,
+      MaxHostsFor(spec.num_switches, spec.ports_per_switch));
   Rng rng(seed);
   Graph g(spec.num_switches, spec.ports_per_switch);
 
   // --- Host placement: even split, remainder to random switches. ---
   const int base = spec.num_hosts / spec.num_switches;
   const int extra = spec.num_hosts % spec.num_switches;
-  // Every switch needs at least one port left for the spanning tree.
-  IRMC_EXPECT(base + (extra > 0 ? 1 : 0) < spec.ports_per_switch);
   std::vector<int> hosts_per_switch(static_cast<std::size_t>(spec.num_switches),
                                     base);
   {

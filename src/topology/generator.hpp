@@ -29,7 +29,8 @@ struct TopologySpec {
 };
 
 /// Generates a connected irregular topology. Deterministic in `seed`.
-/// Aborts (precondition) if the spec cannot host the requested nodes.
+/// Aborts (precondition) when spec.num_hosts exceeds MaxHostsFor, for
+/// every seed.
 Graph GenerateTopology(const TopologySpec& spec, std::uint64_t seed);
 
 /// The most hosts GenerateTopology places on `num_switches` switches of

@@ -139,5 +139,20 @@ TEST(Generator, MaxHostsForFitsEverySeed) {
   }
 }
 
+TEST(GeneratorDeathTest, RejectsHostsBeyondMaxHostsForAtEverySeed) {
+  // Four 8-port switches hold 28 hosts with a port each to spare, yet
+  // MaxHostsFor allows 25: past it, whether the random spanning tree can
+  // grow depends on the seed, so every seed must be refused up front.
+  TopologySpec spec;
+  spec.num_switches = 4;
+  spec.ports_per_switch = 8;
+  ASSERT_EQ(MaxHostsFor(spec.num_switches, spec.ports_per_switch), 25);
+  for (const int hosts : {26, 28}) {
+    spec.num_hosts = hosts;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+      EXPECT_DEATH(GenerateTopology(spec, seed), "exceed MaxHostsFor");
+  }
+}
+
 }  // namespace
 }  // namespace irmc

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace irmc {
@@ -88,6 +90,41 @@ TEST(CountingResource, MaxQueueTracksHighWater) {
   pool.Acquire(e, [] {});
   e.RunToQuiescence();
   EXPECT_EQ(pool.max_queue(), 2);
+}
+
+TEST(CountingResource, GrantsMoveOnlyWaitersInFifoOrder) {
+  Engine e;
+  CountingResource pool(1);
+  std::vector<int> order;
+  for (int i = 1; i <= 4; ++i)
+    pool.Acquire(e, [&order, v = std::make_unique<int>(i)] {
+      order.push_back(*v);
+    });
+  e.RunToQuiescence();
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  for (int i = 0; i < 3; ++i) {
+    pool.Release(e);
+    e.RunToQuiescence();
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(pool.max_queue(), 3);
+}
+
+TEST(CountingResource, MovesButDoesNotCopy) {
+  // Fabric keeps its input-slot pools in a std::vector, whose growth
+  // must move the waiter queue.
+  static_assert(!std::is_copy_constructible_v<CountingResource>);
+  static_assert(std::is_move_constructible_v<CountingResource>);
+  Engine e;
+  std::vector<CountingResource> pools;
+  pools.emplace_back(1);
+  int grants = 0;
+  pools[0].Acquire(e, [&grants] { ++grants; });
+  pools[0].Acquire(e, [&grants] { ++grants; });
+  pools.reserve(16);
+  pools[0].Release(e);
+  e.RunToQuiescence();
+  EXPECT_EQ(grants, 2);
 }
 
 }  // namespace
