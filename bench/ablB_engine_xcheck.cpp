@@ -19,7 +19,7 @@ namespace {
 using namespace irmc;
 
 PacketPtr MakeTreeWorm(const System& sys, const std::vector<NodeId>& dests) {
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = 0;
   pkt->kind = HeaderKind::kTreeWorm;
@@ -40,7 +40,7 @@ std::map<NodeId, Cycles> RunVct(const System& sys, const PacketPtr& pkt) {
                   tails[n] = t;
                 },
                 reg);
-  fabric.InjectFromNi(0, std::make_shared<Packet>(*pkt), 0);
+  fabric.InjectFromNi(0, MakePacket(*pkt), 0);
   engine.RunToQuiescence();
   return tails;
 }
@@ -58,7 +58,7 @@ std::map<NodeId, Cycles> RunFlitLevel(const System& sys, const PacketPtr& pkt,
                     tails[n] = t;
                   },
                   reg);
-  flit.InjectFromNi(0, std::make_shared<Packet>(*pkt), 0);
+  flit.InjectFromNi(0, MakePacket(*pkt), 0);
   engine.RunToQuiescence();
   return tails;
 }
@@ -111,7 +111,7 @@ int main() {
   net.AttachHost(3, 4);     // node 3: probe destination (on D)
   const System spur_sys{std::move(net)};
   auto mk = [](NodeId src, NodeId dst, int flits) {
-    auto pkt = std::make_shared<Packet>();
+    auto pkt = MakePacket();
     pkt->mcast_id = src;
     pkt->src = src;
     pkt->kind = HeaderKind::kUnicast;

@@ -85,4 +85,29 @@ class CsrBuilder {
   std::vector<T> payload_;
 };
 
+/// Stable counting sort of items 0..items-1 into `rows` rows by
+/// key(item), into caller-owned buffers that keep their capacity: row r
+/// is order[begin[r] .. begin[r + 1]), items in ascending order. For
+/// per-call groupings (planners, the executor) that a CsrArray's
+/// immutable storage would re-allocate every time.
+template <typename KeyFn>
+void GroupByKey(std::size_t rows, std::size_t items, KeyFn&& key,
+                std::vector<int>& begin, std::vector<int>& order) {
+  begin.assign(rows + 1, 0);
+  for (std::size_t i = 0; i < items; ++i) {
+    const auto r = static_cast<std::size_t>(key(i));
+    IRMC_EXPECT(r < rows);
+    ++begin[r + 1];
+  }
+  for (std::size_t r = 1; r <= rows; ++r) begin[r] += begin[r - 1];
+  // begin[r] serves as row r's fill cursor and ends at begin[r + 1];
+  // shift the cursors back afterwards.
+  order.resize(items);
+  for (std::size_t i = 0; i < items; ++i)
+    order[static_cast<std::size_t>(
+        begin[static_cast<std::size_t>(key(i))]++)] = static_cast<int>(i);
+  for (std::size_t r = rows; r > 0; --r) begin[r] = begin[r - 1];
+  begin[0] = 0;
+}
+
 }  // namespace irmc

@@ -5,7 +5,10 @@
 // member. Sized at construction to the system's node count.
 //
 // Two forms:
-//  * NodeSet     — owning (worm headers, scratch sets);
+//  * NodeSet     — owning (worm headers, scratch sets). Up to
+//    kInlineBits members live inline, so copying a worm header or
+//    building a scratch set allocates nothing at the paper's sizes;
+//    larger sets fall back to one heap array;
 //  * NodeSetView — non-owning words+bits view. Reachability stores all
 //    of a System's strings in one word arena and hands out views, so a
 //    per-hop string lookup allocates nothing. A NodeSet converts
@@ -14,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -90,19 +95,21 @@ class NodeSetView {
     return true;
   }
 
+  /// Calls fn(member) for every member in ascending order.
+  template <class Fn>
+  void ForEach(Fn&& fn) const {
+    for (std::size_t i = 0; i < num_words(); ++i) {
+      for (std::uint64_t w = words_[i]; w != 0; w &= w - 1)
+        fn(static_cast<NodeId>(i * 64 + static_cast<std::size_t>(
+                                            __builtin_ctzll(w))));
+    }
+  }
+
   /// Members in ascending order.
   std::vector<NodeId> ToVector() const {
     std::vector<NodeId> out;
     out.reserve(static_cast<std::size_t>(Count()));
-    for (std::size_t i = 0; i < num_words(); ++i) {
-      std::uint64_t w = words_[i];
-      while (w != 0) {
-        const int bit = __builtin_ctzll(w);
-        out.push_back(
-            static_cast<NodeId>(i * 64 + static_cast<std::size_t>(bit)));
-        w &= w - 1;
-      }
-    }
+    ForEach([&out](NodeId n) { out.push_back(n); });
     return out;
   }
 
@@ -123,28 +130,69 @@ class NodeSetView {
 
 class NodeSet {
  public:
+  /// Sets of up to this many nodes store their words inline.
+  static constexpr int kInlineBits = 256;
+
   NodeSet() = default;
-  explicit NodeSet(int num_nodes)
-      : num_bits_(num_nodes),
-        words_(static_cast<std::size_t>((num_nodes + 63) / 64), 0) {
+  explicit NodeSet(int num_nodes) : num_bits_(num_nodes) {
     IRMC_EXPECT(num_nodes >= 0);
+    if (OnHeap()) heap_ = new std::uint64_t[num_words()];
+    std::memset(data(), 0, num_words() * sizeof(std::uint64_t));
   }
+  NodeSet(const NodeSet& o) : num_bits_(o.num_bits_) {
+    if (OnHeap()) heap_ = new std::uint64_t[num_words()];
+    CopyWords(o);
+  }
+  NodeSet(NodeSet&& o) noexcept : num_bits_(o.num_bits_) {
+    if (OnHeap()) {
+      heap_ = std::exchange(o.heap_, nullptr);
+      o.num_bits_ = 0;
+    } else {
+      CopyWords(o);
+    }
+  }
+  NodeSet& operator=(const NodeSet& o) {
+    if (this != &o) {
+      if (num_words() != o.num_words()) {
+        NodeSet fresh(o);
+        *this = std::move(fresh);
+        return *this;
+      }
+      num_bits_ = o.num_bits_;
+      CopyWords(o);
+    }
+    return *this;
+  }
+  NodeSet& operator=(NodeSet&& o) noexcept {
+    if (this != &o) {
+      FreeHeap();
+      num_bits_ = o.num_bits_;
+      if (OnHeap()) {
+        heap_ = std::exchange(o.heap_, nullptr);
+        o.num_bits_ = 0;
+      } else {
+        CopyWords(o);
+      }
+    }
+    return *this;
+  }
+  ~NodeSet() { FreeHeap(); }
 
   int capacity() const { return num_bits_; }
 
   void Set(NodeId n) {
     CheckIndex(n);
-    words_[WordOf(n)] |= BitOf(n);
+    data()[WordOf(n)] |= BitOf(n);
   }
 
   void Clear(NodeId n) {
     CheckIndex(n);
-    words_[WordOf(n)] &= ~BitOf(n);
+    data()[WordOf(n)] &= ~BitOf(n);
   }
 
   bool Test(NodeId n) const {
     CheckIndex(n);
-    return (words_[WordOf(n)] & BitOf(n)) != 0;
+    return (words()[WordOf(n)] & BitOf(n)) != 0;
   }
 
   bool Empty() const { return NodeSetView(*this).Empty(); }
@@ -152,26 +200,37 @@ class NodeSet {
 
   NodeSet& operator|=(NodeSetView o) {
     CheckCompat(o);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words()[i];
+    std::uint64_t* w = data();
+    for (std::size_t i = 0; i < num_words(); ++i) w[i] |= o.words()[i];
     return *this;
   }
 
   NodeSet& operator&=(NodeSetView o) {
     CheckCompat(o);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words()[i];
+    std::uint64_t* w = data();
+    for (std::size_t i = 0; i < num_words(); ++i) w[i] &= o.words()[i];
     return *this;
   }
 
   /// Remove every member of `o` from this set.
   NodeSet& Subtract(NodeSetView o) {
     CheckCompat(o);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-      words_[i] &= ~o.words()[i];
+    std::uint64_t* w = data();
+    for (std::size_t i = 0; i < num_words(); ++i) w[i] &= ~o.words()[i];
     return *this;
   }
 
+  /// Overwrites this set with `a & b` (same capacity), reusing storage.
+  void AssignIntersection(NodeSetView a, NodeSetView b) {
+    CheckCompat(a);
+    CheckCompat(b);
+    std::uint64_t* w = data();
+    for (std::size_t i = 0; i < num_words(); ++i)
+      w[i] = a.words()[i] & b.words()[i];
+  }
+
   bool operator==(const NodeSet& o) const {
-    return num_bits_ == o.num_bits_ && words_ == o.words_;
+    return NodeSetView(*this) == NodeSetView(o);
   }
 
   bool Intersects(NodeSetView o) const {
@@ -182,6 +241,12 @@ class NodeSet {
   }
   bool IsSubsetOfUnion(NodeSetView a, NodeSetView b) const {
     return NodeSetView(*this).IsSubsetOfUnion(a, b);
+  }
+
+  /// Calls fn(member) for every member in ascending order.
+  template <class Fn>
+  void ForEach(Fn&& fn) const {
+    NodeSetView(*this).ForEach(std::forward<Fn>(fn));
   }
 
   /// Members in ascending order.
@@ -198,10 +263,24 @@ class NodeSet {
   /// Encoded size of the bit-string header in flits (1 flit = 1 byte).
   int HeaderFlits() const { return (num_bits_ + 7) / 8; }
 
-  const std::uint64_t* words() const { return words_.data(); }
-  std::size_t num_words() const { return words_.size(); }
+  const std::uint64_t* words() const { return OnHeap() ? heap_ : inline_; }
+  std::size_t num_words() const {
+    return static_cast<std::size_t>((num_bits_ + 63) / 64);
+  }
 
  private:
+  static constexpr std::size_t kInlineWords = kInlineBits / 64;
+
+  bool OnHeap() const { return num_words() > kInlineWords; }
+  std::uint64_t* data() { return OnHeap() ? heap_ : inline_; }
+  /// Requires equal word counts (and heap storage in place when needed).
+  void CopyWords(const NodeSet& o) {
+    std::memcpy(data(), o.words(), num_words() * sizeof(std::uint64_t));
+  }
+  void FreeHeap() {
+    if (OnHeap()) delete[] heap_;
+    num_bits_ = 0;
+  }
   static std::size_t WordOf(NodeId n) {
     return static_cast<std::size_t>(n) / 64;
   }
@@ -216,7 +295,10 @@ class NodeSet {
   }
 
   int num_bits_ = 0;
-  std::vector<std::uint64_t> words_;
+  union {
+    std::uint64_t inline_[kInlineWords] = {};
+    std::uint64_t* heap_;
+  };
 };
 
 inline NodeSetView::NodeSetView(const NodeSet& s)
@@ -224,7 +306,7 @@ inline NodeSetView::NodeSetView(const NodeSet& s)
 
 inline NodeSet NodeSetView::ToSet() const {
   NodeSet out(num_bits_);
-  for (NodeId n : ToVector()) out.Set(n);
+  out |= *this;
   return out;
 }
 

@@ -53,6 +53,8 @@ struct HostParams {
     return static_cast<Cycles>(cycles) +
            (cycles > static_cast<double>(static_cast<Cycles>(cycles)) ? 1 : 0);
   }
+
+  bool operator==(const HostParams&) const = default;
 };
 
 /// Message shape: the paper's default is one 128-flit packet; longer
@@ -62,6 +64,7 @@ struct MessageShape {
   int num_packets = 1;
 
   int TotalFlits() const { return packet_flits * num_packets; }
+  bool operator==(const MessageShape&) const = default;
   static MessageShape FromMessageFlits(int message_flits, int packet_flits) {
     MessageShape shape;
     shape.packet_flits = packet_flits;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/csr.hpp"
+
 namespace irmc {
 
 McastDriver::McastDriver(Engine& engine, const System& sys,
@@ -48,32 +50,97 @@ McastDriver::McastDriver(Engine& engine, const System& sys,
   }
 }
 
+void McastDriver::Exec::Reset(std::int64_t new_id, int num_nodes) {
+  id = new_id;
+  start = 0;
+  remaining = 0;
+  nstate.assign(static_cast<std::size_t>(num_nodes), NodeState{});
+  got.clear();
+  worm_begin.clear();
+  worm_order.clear();
+  result.id = new_id;
+  result.start = 0;
+  result.completion = 0;
+  result.num_dests = 0;
+  result.deliveries.clear();
+  parent = -1;
+  repairs.clear();
+  acked.clear();
+  acked_count = 0;
+  attempts = 0;
+  repair_pending = false;
+}
+
+void McastDriver::Exec::IndexWorms(int num_nodes) {
+  if (plan.worms.empty()) return;
+  // A plan has at most one worm per destination; reserving that much
+  // keeps a recycled slot from regrowing for a plan with more worms.
+  worm_order.reserve(plan.dests.size());
+  GroupByKey(
+      static_cast<std::size_t>(num_nodes), plan.worms.size(),
+      [this](std::size_t w) { return plan.worms[w].sender; }, worm_begin,
+      worm_order);
+}
+
+McastDriver::Exec& McastDriver::NewExec() {
+  int slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<int>(slots_.size());
+    slots_.push_back(std::make_unique<Exec>());
+  }
+  slot_of_.push_back(slot);
+  Exec& exec = *slots_[static_cast<std::size_t>(slot)];
+  exec.Reset(next_id_++, sys_->num_nodes());
+  return exec;
+}
+
+McastDriver::Exec* McastDriver::Find(std::int64_t id) {
+  if (id < id_base_ || id >= next_id_) return nullptr;
+  const int slot = slot_of_[static_cast<std::size_t>(id - id_base_)];
+  return slot < 0 ? nullptr : slots_[static_cast<std::size_t>(slot)].get();
+}
+
+void McastDriver::Retire(std::int64_t id) {
+  IRMC_EXPECT(Find(id) != nullptr);
+  int& slot = slot_of_[static_cast<std::size_t>(id - id_base_)];
+  Exec& exec = *slots_[static_cast<std::size_t>(slot)];
+  // Drop what the plan and callbacks hold now; the per-node vectors
+  // keep their capacity for the slot's next multicast.
+  exec.plan = McastPlan{};
+  exec.done = nullptr;
+  exec.delivered = nullptr;
+  free_slots_.push_back(slot);
+  slot = -1;
+  while (!slot_of_.empty() && slot_of_.front() < 0) {
+    slot_of_.pop_front();
+    ++id_base_;
+  }
+}
+
 std::int64_t McastDriver::Launch(McastPlan plan, Cycles when, DoneFn done,
                                  DeliveredFn delivered) {
   IRMC_EXPECT(!plan.dests.empty());
-  const std::int64_t id = next_id_++;
-  auto exec = std::make_unique<Exec>();
-  exec->id = id;
-  exec->plan = std::move(plan);
-  exec->shape = exec->plan.shape.value_or(cfg_.message);
-  exec->start = when;
-  exec->done = std::move(done);
-  exec->delivered = std::move(delivered);
-  exec->remaining = static_cast<int>(exec->plan.dests.size());
-  exec->result.id = id;
-  exec->result.start = when;
-  exec->result.num_dests = exec->remaining;
-  for (std::size_t w = 0; w < exec->plan.worms.size(); ++w)
-    exec->worms_by_sender[exec->plan.worms[w].sender].push_back(
-        static_cast<int>(w));
+  Exec& exec = NewExec();
+  exec.plan = std::move(plan);
+  exec.shape = exec.plan.shape.value_or(cfg_.message);
+  exec.start = when;
+  exec.done = std::move(done);
+  exec.delivered = std::move(delivered);
+  exec.remaining = static_cast<int>(exec.plan.dests.size());
+  exec.result.start = when;
+  exec.result.num_dests = exec.remaining;
+  exec.result.deliveries.reserve(exec.plan.dests.size());
+  exec.IndexWorms(sys_->num_nodes());
   if (cfg_.resilience.enabled)
-    exec->acked.assign(static_cast<std::size_t>(sys_->num_nodes()), false);
+    exec.acked.assign(static_cast<std::size_t>(sys_->num_nodes()), false);
   m_.launched->Add();
-  m_.dests->Add(exec->remaining);
-  Exec* raw = exec.get();
-  live_.emplace(id, std::move(exec));
+  m_.dests->Add(exec.remaining);
+  Exec* raw = &exec;
   engine_.ScheduleAt(when, [this, raw]() { StartSource(*raw); });
-  return id;
+  return exec.id;
 }
 
 void McastDriver::StartSource(Exec& exec) {
@@ -93,8 +160,8 @@ void McastDriver::StartSource(Exec& exec) {
   }
 }
 
-PacketPtr McastDriver::MakeBasePacket(const Exec& exec, int pkt_index) const {
-  auto pkt = std::make_shared<Packet>();
+PacketPtr McastDriver::MakeBasePacket(const Exec& exec, int pkt_index) {
+  PacketPtr pkt = network_->NewPacket();
   pkt->mcast_id = exec.id;
   pkt->pkt_index = pkt_index;
   pkt->num_pkts = exec.shape.num_packets;
@@ -119,7 +186,7 @@ void McastDriver::ConventionalSendToOne(Exec& exec, NodeId u, NodeId c,
     const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
     m_.io_dma_cycles->Add(dma_dur);
     m_.io_dma_transfers->Add();
-    auto pkt = MakeBasePacket(exec, j);
+    PacketPtr pkt = MakeBasePacket(exec, j);
     pkt->kind = HeaderKind::kUnicast;
     pkt->uni_dest = c;
     pkt->header_flits = cfg_.headers.UnicastFlits();
@@ -154,7 +221,7 @@ void McastDriver::SmartSourceSend(Exec& exec) {
                            hp.ni_forward_overhead;
       m_.ni_cycles->Add(hp.ni_forward_overhead);
       m_.ni_forward_copies->Add();
-      auto pkt = MakeBasePacket(exec, j);
+      PacketPtr pkt = MakeBasePacket(exec, j);
       pkt->kind = HeaderKind::kUnicast;
       pkt->uni_dest = c;
       pkt->header_flits = cfg_.headers.UnicastFlits();
@@ -177,7 +244,7 @@ void McastDriver::SmartForward(Exec& exec, NodeId u, int pkt_index,
                          hp.ni_forward_overhead;
     m_.ni_cycles->Add(hp.ni_forward_overhead);
     m_.ni_forward_copies->Add();
-    auto pkt = MakeBasePacket(exec, pkt_index);
+    PacketPtr pkt = MakeBasePacket(exec, pkt_index);
     pkt->kind = HeaderKind::kUnicast;
     pkt->uni_dest = c;
     pkt->header_flits = cfg_.headers.UnicastFlits();
@@ -200,45 +267,44 @@ void McastDriver::SendTreeWorms(Exec& exec) {
   // Default: one worm addressing the full set; chunked plans carry one
   // region (and header size) per worm. All worms leave back to back —
   // still a single phase, one host send overhead.
-  struct Region {
-    NodeSet dests;
-    int header_flits;
-  };
-  std::vector<Region> regions;
-  if (exec.plan.tree_regions.empty()) {
-    regions.push_back(
-        Region{NodeSet::FromVector(sys_->num_nodes(), exec.plan.dests),
-               cfg_.headers.TreeWormFlits(sys_->num_nodes())});
-  } else {
-    for (std::size_t r = 0; r < exec.plan.tree_regions.size(); ++r)
-      regions.push_back(
-          Region{NodeSet::FromVector(sys_->num_nodes(),
-                                     exec.plan.tree_regions[r]),
-                 exec.plan.tree_region_header_flits[r]});
-  }
+  const int num_nodes = sys_->num_nodes();
+  const auto& regions = exec.plan.tree_regions;
+  const NodeSet whole = regions.empty()
+                            ? NodeSet::FromVector(num_nodes, exec.plan.dests)
+                            : NodeSet();
+  const std::size_t num_regions = regions.empty() ? 1 : regions.size();
 
-  m_.worms->Add(static_cast<std::int64_t>(regions.size()));
+  m_.worms->Add(static_cast<std::int64_t>(num_regions));
   for (int j = 0; j < exec.shape.num_packets; ++j) {
     const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
     m_.io_dma_cycles->Add(dma_dur);
     m_.io_dma_transfers->Add();
-    for (const Region& region : regions) {
-      auto pkt = MakeBasePacket(exec, j);
+    for (std::size_t r = 0; r < num_regions; ++r) {
+      PacketPtr pkt = MakeBasePacket(exec, j);
       pkt->kind = HeaderKind::kTreeWorm;
-      pkt->tree_dests = region.dests;
-      pkt->header_flits = region.header_flits;
+      if (regions.empty()) {
+        pkt->tree_dests = whole;
+        pkt->header_flits = cfg_.headers.TreeWormFlits(num_nodes);
+      } else {
+        pkt->tree_dests = NodeSet::FromVector(num_nodes, regions[r]);
+        pkt->header_flits = exec.plan.tree_region_header_flits[r];
+      }
       network_->InjectFromNi(u, std::move(pkt), std::max(ni, dma_done));
     }
   }
 }
 
 void McastDriver::SendWormsOf(Exec& exec, NodeId sender, Cycles earliest) {
-  auto it = exec.worms_by_sender.find(sender);
-  if (it == exec.worms_by_sender.end()) return;
+  if (exec.worm_begin.empty()) return;
+  const auto s = static_cast<std::size_t>(sender);
+  const int first = exec.worm_begin[s];
+  const int last = exec.worm_begin[s + 1];
+  if (first == last) return;
   NodeRuntime& nr = node(sender);
   const HostParams& hp = cfg_.host;
   const Cycles dma_dur = hp.DmaCycles(exec.shape.packet_flits);
-  for (int w : it->second) {
+  for (int i = first; i < last; ++i) {
+    const int w = exec.worm_order[static_cast<std::size_t>(i)];
     const auto& worm = exec.plan.worms[static_cast<std::size_t>(w)];
     // Each worm is a separate message-level send at the sender.
     TraceHost(TraceKind::kSendStart, exec.id, sender, w);
@@ -252,7 +318,7 @@ void McastDriver::SendWormsOf(Exec& exec, NodeId sender, Cycles earliest) {
       const Cycles dma_done = nr.io_bus.Reserve(h, dma_dur) + dma_dur;
       m_.io_dma_cycles->Add(dma_dur);
       m_.io_dma_transfers->Add();
-      auto pkt = MakeBasePacket(exec, j);
+      PacketPtr pkt = MakeBasePacket(exec, j);
       pkt->kind = HeaderKind::kPathWorm;
       pkt->path = worm.route;
       pkt->path_cursor = 0;
@@ -264,22 +330,22 @@ void McastDriver::SendWormsOf(Exec& exec, NodeId sender, Cycles earliest) {
 
 void McastDriver::OnDeliver(NodeId n, const PacketPtr& pkt, Cycles head,
                             Cycles tail) {
-  auto it = live_.find(pkt->mcast_id);
-  if (it == live_.end()) {
+  Exec* exec = Find(pkt->mcast_id);
+  if (exec == nullptr) {
     // Only a retired resilience family leaves stragglers (a redundant
     // repair still in flight when the last ack landed); the pristine
     // contract — every delivery belongs to a live multicast — stands.
     IRMC_ENSURE(cfg_.resilience.enabled);
     return;
   }
-  HandlePacketAt(*it->second, n, pkt, head, tail);
+  HandlePacketAt(*exec, n, pkt, head, tail);
 }
 
 McastDriver::Exec& McastDriver::AcctOf(Exec& exec) {
   if (exec.parent < 0) return exec;
-  auto it = live_.find(exec.parent);
-  IRMC_ENSURE(it != live_.end());  // repairs retire with their parent
-  return *it->second;
+  Exec* acct = Find(exec.parent);
+  IRMC_ENSURE(acct != nullptr);  // repairs retire with their parent
+  return *acct;
 }
 
 void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
@@ -287,18 +353,20 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
   // Delivery accounting rolls up to the original multicast; `exec` (a
   // repair wave or the original itself) keeps the forwarding duties.
   Exec& acct = AcctOf(exec);
-  NodeState& st = acct.nstate[n];
+  NodeState& st = acct.nstate[static_cast<std::size_t>(n)];
   if (cfg_.resilience.enabled) {
     // Receiver dedup: repair waves over-cover (a drop report's
     // destination set is an over-estimate, and repairs re-send whole
     // messages), so the NI swallows already-accepted packets.
-    if (st.got.empty())
-      st.got.assign(static_cast<std::size_t>(acct.shape.num_packets), false);
-    if (st.delivered || st.got[static_cast<std::size_t>(pkt->pkt_index)]) {
+    const auto m = static_cast<std::size_t>(acct.shape.num_packets);
+    if (acct.got.empty()) acct.got.assign(acct.nstate.size() * m, false);
+    const std::size_t bit =
+        static_cast<std::size_t>(n) * m + static_cast<std::size_t>(pkt->pkt_index);
+    if (st.delivered || acct.got[bit]) {
       m_.r_duplicates->Add();
       return;
     }
-    st.got[static_cast<std::size_t>(pkt->pkt_index)] = true;
+    acct.got[bit] = true;
   }
   const bool first = (st.pkts == 0);
   ++st.pkts;
@@ -357,10 +425,10 @@ void McastDriver::HandlePacketAt(Exec& exec, NodeId n, const PacketPtr& pkt,
 
 void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
                                   NodeId n, Cycles when) {
-  auto it = live_.find(acct_id);
-  IRMC_ENSURE(it != live_.end());
-  Exec& exec = *it->second;
-  NodeState& st = exec.nstate[n];
+  Exec* acct = Find(acct_id);
+  IRMC_ENSURE(acct != nullptr);
+  Exec& exec = *acct;
+  NodeState& st = exec.nstate[static_cast<std::size_t>(n)];
   IRMC_ENSURE(!st.delivered);
   st.delivered = true;
   TraceHost(TraceKind::kHostDeliver, acct_id, n, -1);
@@ -380,11 +448,7 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
   // packet completed the message (for a repair, its re-planned subtree).
   // Each host-level forwarding step after a delivery is one
   // communication phase of the scheme.
-  Exec* wave = &exec;
-  if (wave_id != acct_id) {
-    auto wit = live_.find(wave_id);
-    wave = wit != live_.end() ? wit->second.get() : nullptr;
-  }
+  Exec* wave = wave_id != acct_id ? Find(wave_id) : &exec;
   if (wave != nullptr) {
     if (wave->plan.scheme == SchemeKind::kUnicastBinomial) {
       if (!wave->plan.children[static_cast<std::size_t>(n)].empty())
@@ -392,7 +456,9 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
       SendToChildren(*wave, n, when);
     }
     if (wave->plan.scheme == SchemeKind::kPathWorm) {
-      if (wave->worms_by_sender.count(n) > 0)
+      const auto u = static_cast<std::size_t>(n);
+      if (!wave->worm_begin.empty() &&
+          wave->worm_begin[u] != wave->worm_begin[u + 1])
         m_.forward_phases->Add();
       SendWormsOf(*wave, n, when);
     }
@@ -406,7 +472,7 @@ void McastDriver::HandleDelivered(std::int64_t acct_id, std::int64_t wave_id,
     // In resilience mode the family instead retires when the last ack
     // returns to the root (CleanupFamily).
     if (!cfg_.resilience.enabled) {
-      engine_.ScheduleAfter(0, [this, acct_id]() { live_.erase(acct_id); });
+      engine_.ScheduleAfter(0, [this, acct_id]() { Retire(acct_id); });
     }
   }
 }
@@ -416,9 +482,9 @@ void McastDriver::OnDrop(const PacketPtr& pkt, Cycles now, SwitchId where) {
     tracer_->Record(TraceEvent{now, TraceKind::kDrop, pkt->mcast_id,
                                pkt->pkt_index, pkt->src, where});
   m_.r_drops->Add();
-  auto it = live_.find(pkt->mcast_id);
-  if (it == live_.end()) return;  // family already retired
-  Exec& acct = AcctOf(*it->second);
+  Exec* exec = Find(pkt->mcast_id);
+  if (exec == nullptr) return;  // family already retired
+  Exec& acct = AcctOf(*exec);
   if (acct.repair_pending) return;  // a repair chain is already running
   acct.repair_pending = true;
   // Expedite the first repair: wait out fault detection and any pending
@@ -431,9 +497,9 @@ void McastDriver::OnDrop(const PacketPtr& pkt, Cycles now, SwitchId where) {
 }
 
 void McastDriver::OnAck(std::int64_t id, NodeId n) {
-  auto it = live_.find(id);
-  if (it == live_.end()) return;
-  Exec& exec = *it->second;
+  Exec* live = Find(id);
+  if (live == nullptr) return;
+  Exec& exec = *live;
   if (exec.acked[static_cast<std::size_t>(n)]) return;
   exec.acked[static_cast<std::size_t>(n)] = true;
   ++exec.acked_count;
@@ -442,9 +508,9 @@ void McastDriver::OnAck(std::int64_t id, NodeId n) {
 }
 
 void McastDriver::RepairRound(std::int64_t id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) return;
-  Exec& acct = *it->second;
+  Exec* live = Find(id);
+  if (live == nullptr) return;
+  Exec& acct = *live;
   // Unacked = possibly-lost. A destination that delivered but whose ack
   // is still in flight gets harmlessly re-covered (its NI dedups).
   std::vector<NodeId> missing;
@@ -471,33 +537,29 @@ void McastDriver::LaunchRepairWave(Exec& acct, std::vector<NodeId> missing) {
   McastPlan plan =
       scheme->Plan(*sys_, acct.plan.root, missing, acct.shape, cfg_.headers);
   plan.shape = acct.shape;
-  const std::int64_t id = next_id_++;
-  auto exec = std::make_unique<Exec>();
-  exec->id = id;
-  exec->parent = acct.id;
-  exec->plan = std::move(plan);
-  exec->shape = acct.shape;
-  exec->start = engine_.Now();
-  exec->remaining = static_cast<int>(missing.size());
-  exec->result.id = id;
-  exec->result.start = exec->start;
-  exec->result.num_dests = exec->remaining;
-  for (std::size_t w = 0; w < exec->plan.worms.size(); ++w)
-    exec->worms_by_sender[exec->plan.worms[w].sender].push_back(
-        static_cast<int>(w));
-  acct.repairs.push_back(id);
-  Exec* raw = exec.get();
-  live_.emplace(id, std::move(exec));
-  StartSource(*raw);
+  // NewExec may grow the slot vector, but Execs live behind stable
+  // pointers, so `acct` stays valid.
+  Exec& exec = NewExec();
+  exec.parent = acct.id;
+  exec.plan = std::move(plan);
+  exec.shape = acct.shape;
+  exec.start = engine_.Now();
+  exec.remaining = static_cast<int>(missing.size());
+  exec.result.start = exec.start;
+  exec.result.num_dests = exec.remaining;
+  exec.IndexWorms(sys_->num_nodes());
+  acct.repairs.push_back(exec.id);
+  StartSource(exec);
 }
 
 void McastDriver::CleanupFamily(std::int64_t id) {
   // Defer: the last ack may still be inside this family's call chain.
   engine_.ScheduleAfter(0, [this, id]() {
-    auto it = live_.find(id);
-    if (it == live_.end()) return;
-    for (std::int64_t r : it->second->repairs) live_.erase(r);
-    live_.erase(it);
+    Exec* exec = Find(id);
+    if (exec == nullptr) return;
+    for (std::int64_t r : exec->repairs)
+      if (Find(r) != nullptr) Retire(r);
+    Retire(id);
   });
 }
 

@@ -23,9 +23,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "core/config.hpp"
 #include "mcast/scheme.hpp"
 #include "metrics/metrics.hpp"
@@ -88,7 +88,9 @@ class McastDriver {
   NodeRuntime& node(NodeId n) {
     return nodes_[static_cast<std::size_t>(n)];
   }
-  int live_multicasts() const { return static_cast<int>(live_.size()); }
+  int live_multicasts() const {
+    return static_cast<int>(slots_.size() - free_slots_.size());
+  }
 
   /// Non-null only when cfg.resilience.enabled (docs/resilience.md).
   ResilienceManager* resilience() { return resilience_.get(); }
@@ -96,13 +98,12 @@ class McastDriver {
  private:
   struct NodeState {
     int pkts = 0;
-    Cycles last_dma = 0;
     bool delivered = false;
-    /// Receiver dedup (resilience mode only): which pkt_index values this
-    /// node has accepted; repeats — repair overlap — are swallowed at
-    /// the NI before any resource cost.
-    std::vector<bool> got;
+    Cycles last_dma = 0;
   };
+  /// One multicast (or repair wave) in flight. Slots are recycled, so
+  /// the per-node vectors keep their capacity from one multicast to the
+  /// next; Reset() re-arms a slot for a new id.
   struct Exec {
     std::int64_t id = -1;
     McastPlan plan;
@@ -111,8 +112,16 @@ class McastDriver {
     DoneFn done;
     DeliveredFn delivered;
     int remaining = 0;
-    std::unordered_map<NodeId, NodeState> nstate;
-    std::unordered_map<NodeId, std::vector<int>> worms_by_sender;
+    std::vector<NodeState> nstate;  ///< indexed by NodeId
+    /// Receiver dedup (resilience mode only): got[n * num_packets + j]
+    /// is set once node n accepted packet j; repeats — repair overlap —
+    /// are swallowed at the NI before any resource cost.
+    std::vector<bool> got;
+    /// plan.worms grouped by sender, in plan order: sender n's worms
+    /// are worm_order[worm_begin[n] .. worm_begin[n + 1]). Empty when
+    /// the plan has no worms.
+    std::vector<int> worm_begin;
+    std::vector<int> worm_order;
     MulticastResult result;
     // --- reliable delivery (resilience mode only) ---
     /// Repair waves set this to the original multicast they credit;
@@ -123,7 +132,18 @@ class McastDriver {
     int acked_count = 0;
     int attempts = 0;          ///< repair rounds launched so far
     bool repair_pending = false;  ///< a repair timer chain is running
+
+    void Reset(std::int64_t new_id, int num_nodes);
+    /// Fills worm_begin/worm_order from plan.worms.
+    void IndexWorms(int num_nodes);
   };
+
+  /// A recycled slot for a fresh id (the next one in sequence).
+  Exec& NewExec();
+  /// The live multicast with this id, or null once it retired.
+  Exec* Find(std::int64_t id);
+  /// Returns a live multicast's slot to the free list.
+  void Retire(std::int64_t id);
 
   void StartSource(Exec& exec);
   void OnDeliver(NodeId n, const PacketPtr& pkt, Cycles head, Cycles tail);
@@ -165,7 +185,7 @@ class McastDriver {
   void SendTreeWorms(Exec& exec);
   void SendWormsOf(Exec& exec, NodeId sender, Cycles earliest);
 
-  PacketPtr MakeBasePacket(const Exec& exec, int pkt_index) const;
+  PacketPtr MakeBasePacket(const Exec& exec, int pkt_index);
 
   void TraceHost(TraceKind kind, std::int64_t mcast_id, NodeId actor,
                  std::int32_t detail) {
@@ -207,7 +227,13 @@ class McastDriver {
   std::vector<NodeRuntime> nodes_;
   std::unique_ptr<NetworkModel> network_;
   std::unique_ptr<ResilienceManager> resilience_;
-  std::unordered_map<std::int64_t, std::unique_ptr<Exec>> live_;
+  /// Live multicasts: a slot vector with a free list, addressed by id
+  /// through slot_of_, which covers ids [id_base_, next_id_) (-1 once
+  /// retired; retired ids leave its front as they go).
+  std::vector<std::unique_ptr<Exec>> slots_;
+  std::vector<int> free_slots_;
+  Fifo<int> slot_of_;
+  std::int64_t id_base_ = 0;
   std::int64_t next_id_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/csr.hpp"
 #include "common/expect.hpp"
 
 namespace irmc {
@@ -20,9 +21,15 @@ namespace {
 /// switch to the target, inclusive of both.
 class UnicastPathDp {
  public:
+  /// Tables live in caller-owned `value`/`choice`, reset here.
   UnicastPathDp(const System& sys, SwitchId target,
-                const std::vector<char>& remaining)
-      : sys_(sys), target_(target), remaining_(remaining) {
+                const std::vector<char>& remaining, std::vector<int>& value,
+                std::vector<PortId>& choice)
+      : sys_(sys),
+        target_(target),
+        remaining_(remaining),
+        value_(value),
+        choice_(choice) {
     const auto n = static_cast<std::size_t>(sys.num_switches());
     value_.assign(2 * n, -1);
     choice_.assign(2 * n, kInvalidPort);
@@ -64,52 +71,51 @@ class UnicastPathDp {
     return v;
   }
 
-  PortId Choice(SwitchId s, RoutePhase phase) const {
-    return choice_[Index(s, phase)];
+  /// Slot of (s, phase) in the value/choice tables.
+  static std::size_t Index(SwitchId s, RoutePhase phase) {
+    return static_cast<std::size_t>(s) * 2 +
+           (phase == RoutePhase::kDownOnly ? 1 : 0);
   }
 
  private:
   int Weight(SwitchId s) const {
     return remaining_[static_cast<std::size_t>(s)] ? 1 : 0;
   }
-  std::size_t Index(SwitchId s, RoutePhase phase) const {
-    return static_cast<std::size_t>(s) * 2 +
-           (phase == RoutePhase::kDownOnly ? 1 : 0);
-  }
 
   const System& sys_;
   SwitchId target_;
   const std::vector<char>& remaining_;
-  std::vector<int> value_;
-  std::vector<PortId> choice_;
+  std::vector<int>& value_;
+  std::vector<PortId>& choice_;
 };
 
 }  // namespace
 
-BestPathResult FindBestCoveragePath(const System& sys, SwitchId start,
-                                    const std::vector<char>& remaining,
-                                    int coverage_cap) {
+const BestPathResult& FindBestCoveragePath(const System& sys, SwitchId start,
+                                           const std::vector<char>& remaining,
+                                           int coverage_cap,
+                                           CoveragePathScratch& scratch) {
   const int num_switches = sys.num_switches();
   IRMC_EXPECT(static_cast<int>(remaining.size()) == num_switches);
   IRMC_EXPECT(coverage_cap >= 1);
 
   // Pick the anchor destination switch whose best unicast route covers
   // the most remaining switches; ties to the shorter route, then the
-  // lower switch ID.
+  // lower switch ID. The best anchor's choice table is swapped aside;
+  // the next anchor's DP resets the other buffer.
   SwitchId best_target = kInvalidSwitch;
   int best_cover = -1;
   int best_dist = 0;
-  std::unique_ptr<UnicastPathDp> best_dp;
   for (SwitchId t = 0; t < num_switches; ++t) {
     if (!remaining[static_cast<std::size_t>(t)]) continue;
-    auto dp = std::make_unique<UnicastPathDp>(sys, t, remaining);
-    const int cover = dp->Value(start, RoutePhase::kUpAllowed);
+    UnicastPathDp dp(sys, t, remaining, scratch.value, scratch.choice);
+    const int cover = dp.Value(start, RoutePhase::kUpAllowed);
     const int dist = sys.routing.Distance(start, t);
     if (cover > best_cover || (cover == best_cover && dist < best_dist)) {
       best_cover = cover;
       best_dist = dist;
       best_target = t;
-      best_dp = std::move(dp);
+      std::swap(scratch.choice, scratch.best_choice);
     }
   }
   IRMC_ENSURE(best_target != kInvalidSwitch);
@@ -117,34 +123,41 @@ BestPathResult FindBestCoveragePath(const System& sys, SwitchId start,
 
   // Reconstruct the route, applying the coverage cap: the worm is cut
   // right after the switch where the cap is reached.
-  BestPathResult result;
-  std::vector<SwitchId> switches;
-  std::vector<PortId> ports;
+  BestPathResult& result = scratch.path;
+  result.switches.clear();
+  result.ports.clear();
+  result.covered.clear();
   SwitchId here = start;
   RoutePhase phase = RoutePhase::kUpAllowed;
   std::size_t cut = 0;  // one past the last switch kept
   for (;;) {
-    switches.push_back(here);
+    result.switches.push_back(here);
     if (remaining[static_cast<std::size_t>(here)] &&
         (phase == RoutePhase::kDownOnly || here == best_target)) {
       result.covered.push_back(here);
-      cut = switches.size();
+      cut = result.switches.size();
       if (static_cast<int>(result.covered.size()) >= coverage_cap) break;
     }
     if (here == best_target) break;
-    const PortId p = best_dp->Choice(here, phase);
+    const PortId p =
+        scratch.best_choice[UnicastPathDp::Index(here, phase)];
     IRMC_ENSURE(p != kInvalidPort);
-    ports.push_back(p);
+    result.ports.push_back(p);
     phase = sys.routing.NextPhase(here, p, phase);
     here = sys.graph.port(here, p).peer_switch;
   }
   IRMC_ENSURE(!result.covered.empty());
   IRMC_ENSURE(cut >= 1);
-  switches.resize(cut);
-  ports.resize(cut - 1);
-  result.switches = std::move(switches);
-  result.ports = std::move(ports);
+  result.switches.resize(cut);
+  result.ports.resize(cut - 1);
   return result;
+}
+
+BestPathResult FindBestCoveragePath(const System& sys, SwitchId start,
+                                    const std::vector<char>& remaining,
+                                    int coverage_cap) {
+  CoveragePathScratch scratch;
+  return FindBestCoveragePath(sys, start, remaining, coverage_cap, scratch);
 }
 
 McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
@@ -158,31 +171,36 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
   plan.dests = dests;
 
   const int num_switches = sys.num_switches();
-  std::vector<std::vector<NodeId>> pending_at(
-      static_cast<std::size_t>(num_switches));
-  std::vector<char> remaining(static_cast<std::size_t>(num_switches), 0);
+  PlanScratch& sc = scratch_;
+  // Destinations grouped by switch, in `dests` order: switch s holds
+  // dests[dest_order[dest_begin[s] .. dest_begin[s + 1])].
+  GroupByKey(
+      static_cast<std::size_t>(num_switches), dests.size(),
+      [&](std::size_t i) { return sys.graph.SwitchOf(dests[i]); },
+      sc.dest_begin, sc.dest_order);
+  std::vector<char>& remaining = sc.remaining;
+  remaining.assign(static_cast<std::size_t>(num_switches), 0);
   int remaining_count = 0;
-  for (NodeId d : dests) {
-    const auto s = static_cast<std::size_t>(sys.graph.SwitchOf(d));
-    if (pending_at[s].empty()) {
-      remaining[s] = 1;
-      ++remaining_count;
-    }
-    pending_at[s].push_back(d);
+  for (std::size_t s = 0; s < remaining.size(); ++s) {
+    if (sc.dest_begin[s] == sc.dest_begin[s + 1]) continue;
+    remaining[s] = 1;
+    ++remaining_count;
   }
 
   const int field_flits = headers.PathFieldFlits(sys.graph.ports_per_switch());
-  std::vector<NodeId> available{src};
+  std::vector<NodeId>& available = sc.available;
+  std::vector<NodeId>& new_senders = sc.new_senders;
+  available.assign(1, src);
   int phase = 1;
   while (remaining_count > 0) {
-    std::vector<NodeId> new_senders;
+    new_senders.clear();
     for (NodeId sender : available) {
       if (remaining_count == 0) break;
       const int cap = less_greedy
                           ? std::max(1, (remaining_count + 1) / 2)
                           : remaining_count;
-      const BestPathResult path = FindBestCoveragePath(
-          sys, sys.graph.SwitchOf(sender), remaining, cap);
+      const BestPathResult& path = FindBestCoveragePath(
+          sys, sys.graph.SwitchOf(sender), remaining, cap, sc.search);
 
       // Build the worm route: drops at covered switches, explicit
       // forward ports between them.
@@ -198,10 +216,15 @@ McastPlan PathWormMdpLgScheme::Plan(const System& sys, NodeId src,
             i < path.ports.size() ? path.ports[i] : kInvalidPort;
         const auto si = static_cast<std::size_t>(step.sw);
         if (remaining[si]) {
-          step.deliver = pending_at[si];
-          for (NodeId d : step.deliver) worm.covered.push_back(d);
-          new_senders.push_back(pending_at[si].front());
-          pending_at[si].clear();
+          const auto first = static_cast<std::size_t>(sc.dest_begin[si]);
+          const auto last = static_cast<std::size_t>(sc.dest_begin[si + 1]);
+          step.deliver.reserve(last - first);
+          for (std::size_t d = first; d < last; ++d)
+            step.deliver.push_back(
+                dests[static_cast<std::size_t>(sc.dest_order[d])]);
+          worm.covered.insert(worm.covered.end(), step.deliver.begin(),
+                              step.deliver.end());
+          new_senders.push_back(step.deliver.front());
           remaining[si] = 0;
           --remaining_count;
         }

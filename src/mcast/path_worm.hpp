@@ -26,6 +26,34 @@
 
 namespace irmc {
 
+/// The maximum-coverage *unicast route* from `start` to some remaining
+/// destination switch (exposed for unit tests).
+struct BestPathResult {
+  std::vector<SwitchId> switches;  ///< visited switches, start first
+  std::vector<PortId> ports;       ///< port taken out of switches[i]
+  std::vector<SwitchId> covered;   ///< distinct remaining switches visited
+};
+
+/// Caller-owned buffers for FindBestCoveragePath: the DP tables of the
+/// anchor being evaluated, the choice table of the best anchor so far,
+/// and the result. Reused across calls, a search allocates nothing once
+/// they have grown; no state carries over from one call to the next.
+struct CoveragePathScratch {
+  std::vector<int> value;
+  std::vector<PortId> choice;
+  std::vector<PortId> best_choice;
+  BestPathResult path;
+};
+
+BestPathResult FindBestCoveragePath(const System& sys, SwitchId start,
+                                    const std::vector<char>& remaining,
+                                    int coverage_cap);
+/// Same search into `scratch`; returns scratch.path.
+const BestPathResult& FindBestCoveragePath(const System& sys, SwitchId start,
+                                           const std::vector<char>& remaining,
+                                           int coverage_cap,
+                                           CoveragePathScratch& scratch);
+
 class PathWormMdpLgScheme final : public MulticastScheme {
  public:
   SchemeKind kind() const override { return SchemeKind::kPathWorm; }
@@ -35,17 +63,19 @@ class PathWormMdpLgScheme final : public MulticastScheme {
 
   /// Disable the coverage cap (pure greedy) for the ablation bench.
   bool less_greedy = true;
-};
 
-/// The maximum-coverage *unicast route* from `start` to some remaining
-/// destination switch (exposed for unit tests).
-struct BestPathResult {
-  std::vector<SwitchId> switches;  ///< visited switches, start first
-  std::vector<PortId> ports;       ///< port taken out of switches[i]
-  std::vector<SwitchId> covered;   ///< distinct remaining switches visited
+ private:
+  /// Reused by every Plan call, so Plan must not run concurrently on one
+  /// instance; every caller owns its scheme per trial or per call.
+  struct PlanScratch {
+    CoveragePathScratch search;
+    std::vector<int> dest_begin;  ///< dests grouped by switch (GroupByKey)
+    std::vector<int> dest_order;
+    std::vector<char> remaining;
+    std::vector<NodeId> available;
+    std::vector<NodeId> new_senders;
+  };
+  mutable PlanScratch scratch_;
 };
-BestPathResult FindBestCoveragePath(const System& sys, SwitchId start,
-                                    const std::vector<char>& remaining,
-                                    int coverage_cap);
 
 }  // namespace irmc

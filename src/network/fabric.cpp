@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "network/route_logic.hpp"
-
 namespace irmc {
 
 Fabric::Fabric(Engine& engine, const System& sys, const NetParams& params,
@@ -176,11 +174,10 @@ void Fabric::FailLink(SwitchId sw, PortId port) {
     Channel& c = channels_[static_cast<std::size_t>(cid)];
     if (c.dead_since != kNever) continue;
     c.dead_since = now;
-    std::deque<Tx> doomed;
-    doomed.swap(c.queue);
-    for (Tx& t : doomed) {
-      ReportDrop(t.pkt, static_cast<SwitchId>(cid / ports_));
-      ReleaseSrcBuffer(t.src_buffer);
+    Fifo<Tx> doomed = std::move(c.queue);
+    for (std::size_t i = 0; i < doomed.size(); ++i) {
+      ReportDrop(doomed[i].pkt, static_cast<SwitchId>(cid / ports_));
+      ReleaseSrcBuffer(doomed[i].src_buffer);
     }
   }
 }
@@ -208,7 +205,8 @@ void Fabric::Pump(int channel_id) {
   // thing minus the head-of-line wait.
   Cycles target = c.queue.front().ready;
   if (channel_id < sys_->num_switches() * ports_)
-    for (const Tx& t : c.queue) target = std::min(target, t.ready);
+    for (std::size_t i = 1; i < c.queue.size(); ++i)
+      target = std::min(target, c.queue[i].ready);
   target = std::max(engine_.Now(), target);
   engine_.ScheduleAt(target, [this, channel_id]() { Pick(channel_id); });
 }
@@ -241,7 +239,7 @@ void Fabric::Pick(int channel_id) {
   }
   c.pumping = true;
   Tx tx = std::move(c.queue[best]);
-  c.queue.erase(c.queue.begin() + static_cast<std::ptrdiff_t>(best));
+  c.queue.erase(best);
   if (c.downstream_slot_pool >= 0) {
     auto& pool = input_slots_[static_cast<std::size_t>(c.downstream_slot_pool)];
     pool.Acquire(engine_, [this, channel_id, tx = std::move(tx)]() mutable {
@@ -330,7 +328,7 @@ void Fabric::HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt,
   ++packets_switched_;
   m_switched_.Add();
   Trace(TraceKind::kHeadArrive, *pkt, s, in_port);
-  auto buf = std::make_shared<Buffered>();
+  BufferedPtr buf = buffers_.Make();
   buf->slot_pool = static_cast<int>(PortIdx(s, in_port));
   const Cycles tail_time = head_time + pkt->WireFlits() - 1;
   engine_.ScheduleAt(head_time + params_.route_delay,
@@ -341,8 +339,9 @@ void Fabric::HeadArrive(SwitchId s, PortId in_port, PacketPtr pkt,
 
 void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time,
                    const BufferedPtr& buf) {
-  std::vector<RouteBranch> branches;
-  const PortLoadFn load = [this](SwitchId sw, PortId p) {
+  std::vector<RouteBranch>& branches = route_scratch_;
+  IRMC_EXPECT(branches.empty());  // Route never re-enters itself
+  const auto load = [this](SwitchId sw, PortId p) {
     return channels_[static_cast<std::size_t>(OutChannelId(sw, p))].Load();
   };
   const auto free_buffer_at_tail = [this, tail_time, &buf]() {
@@ -382,6 +381,7 @@ void Fabric::Route(SwitchId s, PacketPtr pkt, Cycles tail_time,
     const int cid = OutChannelId(s, b.port);
     EnqueueTx(cid, Tx{std::move(b.pkt), ready, buf, in_port});
   }
+  branches.clear();
 }
 
 }  // namespace irmc

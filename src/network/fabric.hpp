@@ -14,13 +14,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <vector>
 
+#include "common/fifo.hpp"
+#include "common/slab.hpp"
 #include "metrics/metrics.hpp"
 #include "network/network_model.hpp"
 #include "network/packet.hpp"
+#include "network/route_logic.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "topology/system.hpp"
@@ -69,12 +70,19 @@ class Fabric final : public NetworkModel {
   /// channels stay dead; packets routed from now on use `sys`'s tables.
   void SwapSystem(const System& sys) override;
 
+  /// Input-buffer occupancy records still referenced (0 once the run
+  /// has drained; see the ownership notes in packet.hpp).
+  std::size_t live_buffers() const { return buffers_.live(); }
+
  private:
+  /// One packet's input-buffer occupancy at a switch: created at head
+  /// arrival, shared by the pending route event and every branch's
+  /// transmission, back on the slab's free list once all have let go.
   struct Buffered {
     int slot_pool = -1;  ///< index into input_slots_, -1 for none
     int pending_branches = 0;
   };
-  using BufferedPtr = std::shared_ptr<Buffered>;
+  using BufferedPtr = Slab<Buffered>::Ref;
 
   struct Tx {
     PacketPtr pkt;
@@ -90,7 +98,7 @@ class Fabric final : public NetworkModel {
 
   struct Channel {
     TimelineResource line;
-    std::deque<Tx> queue;
+    Fifo<Tx> queue;
     bool pumping = false;
     int downstream_slot_pool = -1;  ///< index into input_slots_, -1 = none
     bool to_host = false;
@@ -184,6 +192,9 @@ class Fabric final : public NetworkModel {
 
   std::vector<Channel> channels_;           // switch out-channels, then injections
   std::vector<CountingResource> input_slots_;  // [switch*ports + port]
+  Slab<Buffered> buffers_;
+  /// Route()'s branch list, reused across decisions (emptied after each).
+  std::vector<RouteBranch> route_scratch_;
   std::int64_t flits_sent_ = 0;
   std::int64_t packets_switched_ = 0;
 };

@@ -167,9 +167,9 @@ void FlitEngine::KillBranch(int bid) {
   if (c.active_branch == bid) {
     c.active_branch = -1;
   } else {
-    for (auto it = c.waiting.begin(); it != c.waiting.end(); ++it) {
-      if (*it == bid) {
-        c.waiting.erase(it);
+    for (std::size_t i = 0; i < c.waiting.size(); ++i) {
+      if (c.waiting[i] == bid) {
+        c.waiting.erase(i);
         break;
       }
     }
@@ -181,6 +181,7 @@ void FlitEngine::KillBranch(int bid) {
   for (InFlight& entry : in_flight_)
     if (entry.branch != bid) in_flight_[kept++] = entry;
   in_flight_.resize(kept);
+  b.out_pkt = nullptr;
   // The downstream copy will never finish arriving.
   if (b.dst_worm != -1) KillWorm(b.dst_worm);
   Worm& src = worms_[static_cast<std::size_t>(b.src_worm)];
@@ -224,7 +225,9 @@ void FlitEngine::FailLink(SwitchId sw, PortId port) {
     // Every branch committed to the link is cut; each reports its own
     // packet (whose destination set covers its whole subtree — cascade
     // kills underneath it are not re-reported).
-    std::vector<int> doomed(c.waiting.begin(), c.waiting.end());
+    std::vector<int> doomed;
+    for (std::size_t i = 0; i < c.waiting.size(); ++i)
+      doomed.push_back(c.waiting[i]);
     if (c.active_branch != -1) doomed.push_back(c.active_branch);
     for (int bid : doomed) {
       ReportDrop(branches_[static_cast<std::size_t>(bid)].out_pkt,
@@ -285,8 +288,11 @@ bool FlitEngine::Busy(Cycles now) const {
 // --- cycle phases ---
 
 void FlitEngine::ReleasePorts() {
-  for (int port : pending_port_release_)
-    inputs_[static_cast<std::size_t>(port)].resident_worm = -1;
+  for (int port : pending_port_release_) {
+    int& resident = inputs_[static_cast<std::size_t>(port)].resident_worm;
+    worms_[static_cast<std::size_t>(resident)].pkt = nullptr;
+    resident = -1;
+  }
   pending_port_release_.clear();
 }
 
@@ -310,7 +316,10 @@ void FlitEngine::LandFlits(Cycles now) {
       // Host ejection sink (switch host port or direct NI channel).
       if (entry.is_head) b.sink_head = entry.lands;
       ++b.sink_landed;
-      if (b.sink_landed == b.len) DeliverBranch(b, entry.lands);
+      if (b.sink_landed == b.len) {
+        DeliverBranch(b, entry.lands);
+        b.out_pkt = nullptr;
+      }
     } else {
       if (entry.is_head) {
         // Create the downstream resident worm.
@@ -341,6 +350,7 @@ void FlitEngine::LandFlits(Cycles now) {
       }
       max_occupancy_ = std::max(
           max_occupancy_, static_cast<std::int64_t>(w.received - w.freed));
+      if (entry.is_tail) b.out_pkt = nullptr;  // the worm holds the header
     }
   }
   in_flight_.resize(kept);
@@ -355,7 +365,6 @@ void FlitEngine::PumpInjections(Cycles now) {
     if (q.front().second > now) return;
     // Source-side pseudo-worm: all flits available at `ready`.
     Worm w;
-    w.pkt = q.front().first;
     w.len = q.front().first->WireFlits();
     w.received = w.len;
     w.routed = true;
@@ -390,10 +399,11 @@ void FlitEngine::RouteWorms(Cycles now) {
     IRMC_ENSURE(!w.routed && w.received >= 1);
     w.routed = true;
     const SwitchId sw = SwitchOfPort(w.port_index);
-    const PortLoadFn load = [this](SwitchId s, PortId p) {
+    const auto load = [this](SwitchId s, PortId p) {
       return channels_[PortIdx(s, p)].Load();
     };
-    std::vector<RouteBranch> decisions;
+    std::vector<RouteBranch>& decisions = route_scratch_;
+    decisions.clear();
     if (drop_ != nullptr) {
       if (!TryComputeRouteBranches(*sys_, sw, w.pkt, params_.adaptive, load,
                                    decisions)) {
@@ -451,6 +461,7 @@ void FlitEngine::RouteWorms(Cycles now) {
       busy_channels_.Set(static_cast<std::size_t>(b.channel));
     }
   }
+  route_scratch_.clear();
 }
 
 void FlitEngine::MoveFlits(Cycles now) {
@@ -484,8 +495,7 @@ void FlitEngine::MoveFlits(Cycles now) {
       }
       if (best != c.waiting.size()) {
         c.active_branch = c.waiting[best];
-        c.waiting.erase(c.waiting.begin() +
-                        static_cast<std::ptrdiff_t>(best));
+        c.waiting.erase(best);
       }
     }
     if (c.active_branch == -1) return;

@@ -26,13 +26,14 @@
 
 #include <bit>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "metrics/metrics.hpp"
 #include "network/network_model.hpp"
 #include "network/packet.hpp"
+#include "network/route_logic.hpp"
 #include "sim/engine.hpp"
 #include "topology/system.hpp"
 #include "trace/tracer.hpp"
@@ -119,6 +120,8 @@ class FlitEngine final : public NetworkModel {
   /// A worm copy resident in (or streaming through) an input buffer;
   /// injection sources are pseudo-worms with every flit available.
   struct Worm {
+    /// Header as it arrived; null for injection pseudo-worms (never
+    /// routed here) and once the worm's input port is released.
     PacketPtr pkt;
     int len = 0;
     int received = 0;  ///< flits landed in this buffer
@@ -142,7 +145,8 @@ class FlitEngine final : public NetworkModel {
   struct BranchState {
     int src_worm = -1;
     int channel = -1;
-    PacketPtr out_pkt;  ///< header as seen downstream
+    PacketPtr out_pkt;  ///< header as seen downstream; null once the
+                        ///< tail has landed or the branch was killed
     int len = 0;
     int consumed = 0;
     Cycles start_ok = 0;
@@ -168,7 +172,7 @@ class FlitEngine final : public NetworkModel {
     NodeId sink_host = kInvalidNode;
     bool to_host = false;
     int active_branch = -1;
-    std::deque<int> waiting;
+    Fifo<int> waiting;
     Cycles dead_since = kNever;  ///< FailLink time; kNever = alive
     std::int64_t flits = 0;  ///< one busy cycle per flit moved
     int Load() const {
@@ -305,8 +309,10 @@ class FlitEngine final : public NetworkModel {
   std::vector<Worm> worms_;
   std::vector<BranchState> branches_;
   std::vector<InFlight> in_flight_;
-  std::deque<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
-  std::vector<std::deque<std::pair<PacketPtr, Cycles>>> inject_queues_;
+  Fifo<std::pair<int, Cycles>> route_queue_;  // (worm, decision time)
+  std::vector<Fifo<std::pair<PacketPtr, Cycles>>> inject_queues_;
+  /// RouteWorms' branch list, reused across decisions (emptied after).
+  std::vector<RouteBranch> route_scratch_;
   // Worklists the cycle phases walk instead of every channel and node.
   Worklist busy_channels_;   ///< channels with an active or waiting branch
   Worklist injecting_nodes_; ///< nodes with a non-empty injection queue

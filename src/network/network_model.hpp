@@ -129,6 +129,12 @@ class NetworkModel {
   /// Call once when the trial's run ends.
   virtual void CollectMetrics(Cycles now) = 0;
 
+  /// A fresh default packet from this model's slab (see packet.hpp for
+  /// who may hold it and for how long).
+  PacketPtr NewPacket() { return packets_.Make(); }
+  /// The slab behind NewPacket() and every replica the engine clones.
+  const PacketSlab& packet_slab() const { return packets_; }
+
   /// Installs the fault-drop handler (see DropFn). Engines only take
   /// the drop path — instead of aborting on unroutable packets — when a
   /// handler is present.
@@ -152,6 +158,9 @@ class NetworkModel {
   NetworkModel() = default;
 
   DropFn drop_;  ///< null = pristine contract (unroutable packets abort)
+
+ private:
+  PacketSlab packets_;
 };
 
 /// Constructs the engine selected by `kind` on the shared event kernel.

@@ -15,14 +15,23 @@
 // Wire length = data flits + remaining header flits, so header encoding
 // costs are physically accounted (§3.3 of the paper discusses them only
 // qualitatively; bench/ablD quantifies them).
+//
+// Ownership: packets live in their network model's PacketSlab
+// (NetworkModel::NewPacket) and are held through PacketPtr, an
+// intrusive, non-atomic counted handle (common/slab.hpp). Whoever still
+// needs a packet — a queued transmission, a pending event's capture, a
+// flit-engine worm or branch — holds a PacketPtr; the last release puts
+// the node back on the slab's free list. A handle may outlive the model
+// (the slab's storage stays until the last handle goes), and
+// MakePacket() builds free-standing packets for tests and benches.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/nodeset.hpp"
+#include "common/slab.hpp"
 #include "common/types.hpp"
 #include "topology/routing_table.hpp"
 
@@ -59,9 +68,6 @@ struct HopRecord {
   PortId out_port;  ///< kInvalidPort for a host delivery
 };
 
-struct Packet;
-using PacketPtr = std::shared_ptr<Packet>;
-
 struct Packet {
   // --- identity / measurement ---
   std::int64_t mcast_id = -1;  ///< which logical multicast this belongs to
@@ -86,16 +92,25 @@ struct Packet {
   /// Per-branch hop log, deep-copied on replication (route-legality
   /// tests only; null in normal runs).
   std::shared_ptr<std::vector<HopRecord>> hop_log;
-
-  /// Clone used at replication points; caller then narrows the header of
-  /// the copy. The hop log forks so each branch records its own route.
-  PacketPtr CloneForBranch() const {
-    auto copy = std::make_shared<Packet>(*this);
-    if (hop_log)
-      copy->hop_log = std::make_shared<std::vector<HopRecord>>(*hop_log);
-    return copy;
-  }
 };
+
+using PacketSlab = Slab<Packet>;
+using PacketPtr = PacketSlab::Ref;
+
+/// A free-standing packet (tests, benches), copied from `proto`.
+inline PacketPtr MakePacket(const Packet& proto = {}) {
+  return PacketSlab::MakeUnpooled(proto);
+}
+
+/// Clone used at replication points, drawn from the original's slab;
+/// the caller then narrows the header of the copy. The hop log forks so
+/// each branch records its own route.
+inline PacketPtr CloneForBranch(const PacketPtr& pkt) {
+  PacketPtr copy = pkt.Clone();
+  if (copy->hop_log)
+    copy->hop_log = std::make_shared<std::vector<HopRecord>>(*copy->hop_log);
+  return copy;
+}
 
 /// Header sizing used by all planners; kept in one place so benches can
 /// reason about encoding cost uniformly. Setting `account = false`

@@ -5,29 +5,40 @@
 namespace irmc {
 namespace {
 
-/// Least-loaded port among candidates (first on ties); first candidate
-/// when adaptivity is disabled.
-PortId PickPort(SwitchId s, std::span<const PortId> candidates,
-                bool adaptive, const PortLoadFn& load) {
-  IRMC_EXPECT(!candidates.empty());
-  if (!adaptive) return candidates.front();
-  PortId best = candidates.front();
-  int best_load = load(s, best);
-  for (std::size_t i = 1; i < candidates.size(); ++i) {
-    const int l = load(s, candidates[i]);
-    if (l < best_load) {
-      best = candidates[i];
+/// Least-loaded port among the candidates `take` accepts (first on
+/// ties); the first accepted one when adaptivity is disabled.
+/// kInvalidPort when `take` accepts none.
+template <class Take>
+PortId PickPortWhere(SwitchId s, std::span<const PortId> candidates,
+                     bool adaptive, const PortLoadFn& load, Take&& take) {
+  PortId best = kInvalidPort;
+  int best_load = 0;
+  for (PortId p : candidates) {
+    if (!take(p)) continue;
+    if (best == kInvalidPort) {
+      best = p;
+      if (!adaptive) break;
+      best_load = load(s, p);
+    } else if (const int l = load(s, p); l < best_load) {
+      best = p;
       best_load = l;
     }
   }
   return best;
 }
 
+PortId PickPort(SwitchId s, std::span<const PortId> candidates,
+                bool adaptive, const PortLoadFn& load) {
+  IRMC_EXPECT(!candidates.empty());
+  return PickPortWhere(s, candidates, adaptive, load,
+                       [](PortId) { return true; });
+}
+
 RouteBranch MakeHostBranch(const System& sys, SwitchId s, NodeId n,
                            const PacketPtr& pkt) {
   const HostAttachment& at = sys.graph.host(n);
   IRMC_EXPECT(at.sw == s);
-  auto copy = pkt->CloneForBranch();
+  PacketPtr copy = CloneForBranch(pkt);
   if (copy->kind == HeaderKind::kTreeWorm) {
     NodeSet only(copy->tree_dests.capacity());
     only.Set(n);
@@ -47,10 +58,31 @@ bool TryRouteUnicast(const System& sys, SwitchId s, const PacketPtr& pkt,
   const auto& cand = sys.routing.Candidates(s, dest_sw, pkt->phase);
   if (cand.empty()) return false;  // stale phase under swapped tables
   const PortId p = PickPort(s, cand, adaptive, load);
-  auto copy = pkt->CloneForBranch();
+  PacketPtr copy = CloneForBranch(pkt);
   copy->phase = sys.routing.NextPhase(s, p, pkt->phase);
   out.push_back(RouteBranch{std::move(copy), p});
   return true;
+}
+
+// The tree-worm move relation, as three predicates that both the
+// executed route (TryRouteTreeWorm) and the analyzed one
+// (TreeWormDecision) are built from.
+
+/// True when `rem` is replicated downward at s (else it climbs).
+bool TreeGoesDown(const System& sys, SwitchId s, NodeSetView rem) {
+  return rem.IsSubsetOf(sys.reach.DownCover(s));
+}
+
+/// Downward replication: down port p carries a branch.
+bool TreeDownTakes(const System& sys, SwitchId s, PortId p,
+                   NodeSetView rem) {
+  return rem.Intersects(sys.reach.Primary(s, p));
+}
+
+/// Climbing: up port p's peer can finish covering `rem`.
+bool TreeUpCovers(const System& sys, SwitchId s, PortId p, NodeSetView rem) {
+  const SwitchId t = sys.graph.port(s, p).peer_switch;
+  return rem.IsSubsetOfUnion(sys.reach.DownCover(t), sys.reach.Local(t));
 }
 
 /// TreeWormDecision without the phase-rule aborts: returns false where
@@ -59,12 +91,11 @@ bool TryRouteUnicast(const System& sys, SwitchId s, const PacketPtr& pkt,
 /// orientation made a root with no up ports).
 bool TryTreeDecision(const System& sys, SwitchId s, const NodeSet& rem,
                      RoutePhase phase, TreeRouteDecision* decision) {
-  const Reachability& reach = sys.reach;
   IRMC_EXPECT(!rem.Empty());
-  if (rem.IsSubsetOf(reach.DownCover(s))) {
+  if (TreeGoesDown(sys, s, rem)) {
     decision->down = true;
     for (PortId p : sys.updown.DownPorts(s))
-      if (rem.Intersects(reach.Primary(s, p))) decision->ports.push_back(p);
+      if (TreeDownTakes(sys, s, p, rem)) decision->ports.push_back(p);
     return true;
   }
 
@@ -73,11 +104,8 @@ bool TryTreeDecision(const System& sys, SwitchId s, const NodeSet& rem,
   if (phase != RoutePhase::kUpAllowed) return false;
   const auto& ups = sys.updown.UpPorts(s);
   if (ups.empty()) return false;
-  for (PortId p : ups) {
-    const SwitchId t = sys.graph.port(s, p).peer_switch;
-    if (rem.IsSubsetOfUnion(reach.DownCover(t), reach.Local(t)))
-      decision->ports.push_back(p);
-  }
+  for (PortId p : ups)
+    if (TreeUpCovers(sys, s, p, rem)) decision->ports.push_back(p);
   if (decision->ports.empty())
     decision->ports.assign(ups.begin(), ups.end());
   return true;
@@ -87,38 +115,50 @@ bool TryRouteTreeWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
                       bool adaptive, const PortLoadFn& load,
                       std::vector<RouteBranch>& out) {
   const Reachability& reach = sys.reach;
-  NodeSet locals = pkt->tree_dests & reach.Local(s);
+  NodeSet locals(pkt->tree_dests.capacity());
+  locals.AssignIntersection(pkt->tree_dests, reach.Local(s));
   NodeSet rem = pkt->tree_dests;
   rem.Subtract(locals);
 
-  TreeRouteDecision decision;
-  if (!rem.Empty() && !TryTreeDecision(sys, s, rem, pkt->phase, &decision))
-    return false;
+  // The same decision as TryTreeDecision, made without materializing
+  // its port list.
+  const bool down = !rem.Empty() && TreeGoesDown(sys, s, rem);
+  PortId up_port = kInvalidPort;
+  if (!rem.Empty() && !down) {
+    if (pkt->phase != RoutePhase::kUpAllowed) return false;
+    const auto& ups = sys.updown.UpPorts(s);
+    if (ups.empty()) return false;
+    // Pick among the covering up ports, or among all of them when none
+    // covers yet.
+    up_port = PickPortWhere(s, ups, adaptive, load, [&](PortId p) {
+      return TreeUpCovers(sys, s, p, rem);
+    });
+    if (up_port == kInvalidPort) up_port = PickPort(s, ups, adaptive, load);
+  }
 
-  for (NodeId n : locals.ToVector())
-    out.push_back(MakeHostBranch(sys, s, n, pkt));
+  locals.ForEach(
+      [&](NodeId n) { out.push_back(MakeHostBranch(sys, s, n, pkt)); });
   if (rem.Empty()) return true;
 
-  if (decision.down) {
+  if (down) {
     // Replicate downward along the partitioned reachability strings.
     NodeSet covered(rem.capacity());
-    for (PortId p : decision.ports) {
-      NodeSet part = rem & reach.Primary(s, p);
-      auto copy = pkt->CloneForBranch();
-      copy->tree_dests = part;
+    for (PortId p : sys.updown.DownPorts(s)) {
+      if (!TreeDownTakes(sys, s, p, rem)) continue;
+      PacketPtr copy = CloneForBranch(pkt);
+      copy->tree_dests.AssignIntersection(rem, reach.Primary(s, p));
       copy->phase = RoutePhase::kDownOnly;
+      covered |= copy->tree_dests;
       out.push_back(RouteBranch{std::move(copy), p});
-      covered |= part;
     }
     IRMC_ENSURE(covered == rem);
     return true;
   }
 
-  const PortId p = PickPort(s, decision.ports, adaptive, load);
-  auto copy = pkt->CloneForBranch();
+  PacketPtr copy = CloneForBranch(pkt);
   copy->tree_dests = rem;
   copy->phase = RoutePhase::kUpAllowed;
-  out.push_back(RouteBranch{std::move(copy), p});
+  out.push_back(RouteBranch{std::move(copy), up_port});
   return true;
 }
 
@@ -140,7 +180,7 @@ bool TryRoutePathWorm(const System& sys, SwitchId s, const PacketPtr& pkt,
     IRMC_ENSURE(!step.deliver.empty());  // a worm must end with a drop
     return true;
   }
-  auto copy = pkt->CloneForBranch();
+  PacketPtr copy = CloneForBranch(pkt);
   copy->path_cursor = pkt->path_cursor + 1;
   copy->header_flits = step.header_flits_after;
   copy->phase = sys.routing.NextPhase(s, step.forward_port, pkt->phase);

@@ -10,7 +10,7 @@
 // the transport timing underneath differs. See docs/engines.md.
 #pragma once
 
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "network/packet.hpp"
@@ -27,7 +27,31 @@ struct RouteBranch {
 
 /// Current queue depth of the output channel (s, p); adaptivity picks
 /// the least-loaded candidate (first on ties).
-using PortLoadFn = std::function<int(SwitchId, PortId)>;
+///
+/// A non-owning reference to a callable `int(SwitchId, PortId)`: it
+/// stores the callable's address, so the callable must outlive every
+/// use (bind a named lambda; binding a temporary does not compile).
+class PortLoadFn {
+ public:
+  template <class F, class = std::enable_if_t<
+                         !std::is_same_v<std::remove_cv_t<F>, PortLoadFn> &&
+                         std::is_invocable_r_v<int, const F&, SwitchId,
+                                               PortId>>>
+  PortLoadFn(const F& f)  // NOLINT(google-explicit-constructor)
+      : obj_(&f), call_([](const void* o, SwitchId s, PortId p) {
+          return static_cast<int>((*static_cast<const F*>(o))(s, p));
+        }) {}
+  template <class F, class = std::enable_if_t<
+                         !std::is_same_v<std::remove_cv_t<F>, PortLoadFn> &&
+                         !std::is_lvalue_reference_v<F>>>
+  PortLoadFn(F&&) = delete;  // would dangle
+
+  int operator()(SwitchId s, PortId p) const { return call_(obj_, s, p); }
+
+ private:
+  const void* obj_;
+  int (*call_)(const void*, SwitchId, PortId);
+};
 
 /// What a tree worm does at switch `s` with its remaining *non-local*
 /// destination set `rem` in `phase`:

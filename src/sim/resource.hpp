@@ -14,9 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/expect.hpp"
+#include "common/fifo.hpp"
 #include "common/types.hpp"
 #include "sim/engine.hpp"
 
@@ -49,9 +49,7 @@ class CountingResource {
   explicit CountingResource(int slots) : available_(slots) {
     IRMC_EXPECT(slots > 0);
   }
-  // Waiting actions are move-only. Without these, vector growth would
-  // pick std::deque's (ill-formed) copy over its potentially throwing
-  // move; a failed allocation while moving ends the run either way.
+  // Waiting actions are move-only.
   CountingResource(const CountingResource&) = delete;
   CountingResource& operator=(const CountingResource&) = delete;
   CountingResource(CountingResource&&) noexcept = default;
@@ -90,7 +88,7 @@ class CountingResource {
 
  private:
   int available_;
-  std::deque<EventQueue::Action> waiters_;
+  Fifo<EventQueue::Action> waiters_;  ///< allocates on first wait
   std::int64_t max_queue_ = 0;
 };
 

@@ -348,7 +348,7 @@ StressOutcome RunTreeWormStress(const System& sys, int buffer_flits) {
   for (NodeId src = 0; src < hosts; ++src) {
     std::vector<NodeId> dests;
     for (int k = 1; k <= 8; ++k) dests.push_back((src + k) % hosts);
-    auto pkt = std::make_shared<Packet>();
+    auto pkt = MakePacket();
     pkt->mcast_id = src;
     pkt->src = src;
     pkt->kind = HeaderKind::kTreeWorm;
@@ -421,7 +421,7 @@ TEST(DeadlockSoundness, HandlerFreezesTheEngineInsteadOfAborting) {
   for (NodeId src = 0; src < hosts; ++src) {
     std::vector<NodeId> dests;
     for (int k = 1; k <= 8; ++k) dests.push_back((src + k) % hosts);
-    auto pkt = std::make_shared<Packet>();
+    auto pkt = MakePacket();
     pkt->mcast_id = src;
     pkt->src = src;
     pkt->kind = HeaderKind::kTreeWorm;

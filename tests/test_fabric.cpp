@@ -47,7 +47,7 @@ Graph LineGraph() {
 
 PacketPtr Unicast(NodeId src, NodeId dst, int data_flits = 128,
                   int header_flits = 2) {
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = src;
   pkt->kind = HeaderKind::kUnicast;
@@ -162,7 +162,7 @@ TEST(Fabric, TreeWormDeliversLocallyDuringTransit) {
   // Destinations on the source's own switch and two switches down: one
   // worm covers all.
   Harness hline(LineGraph());
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 9;
   pkt->src = 0;
   pkt->kind = HeaderKind::kTreeWorm;
@@ -193,7 +193,7 @@ TEST_P(FabricWormSweep, TreeWormExactlyOnceAndLegal) {
   // Multicast from node 0 to every odd node.
   std::vector<NodeId> dests;
   for (NodeId n = 1; n < 32; n += 2) dests.push_back(n);
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = 0;
   pkt->kind = HeaderKind::kTreeWorm;
@@ -231,7 +231,7 @@ TEST_P(FabricWormSweep, TreeWormBroadcastCoversAll) {
   Harness h(GenerateTopology(spec, GetParam() + 100));
   std::vector<NodeId> dests;
   for (NodeId n = 1; n < 32; ++n) dests.push_back(n);
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = 0;
   pkt->kind = HeaderKind::kTreeWorm;
@@ -292,7 +292,7 @@ TEST(Fabric, PathWormFollowsPlannedRouteExactly) {
   route->steps[1].forward_port = kInvalidPort;
   route->steps[1].header_flits_after = 0;
 
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = 0;
   pkt->kind = HeaderKind::kPathWorm;
@@ -325,7 +325,7 @@ TEST(Fabric, AllLocalTreeWormNeverTouchesSwitchLinks) {
     if (n != 0) dests.push_back(n);
   ASSERT_GE(dests.size(), 2u);
   Harness h(std::move(g));
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = 0;
   pkt->kind = HeaderKind::kTreeWorm;

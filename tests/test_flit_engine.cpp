@@ -24,7 +24,7 @@ namespace irmc {
 namespace {
 
 PacketPtr Unicast(NodeId src, NodeId dst, int data_flits = 64) {
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = src;
   pkt->kind = HeaderKind::kUnicast;
@@ -49,7 +49,7 @@ std::map<NodeId, std::pair<Cycles, Cycles>> RunVct(
                 },
                 reg);
   for (const auto& [n, p] : txs)
-    fabric.InjectFromNi(n, std::make_shared<Packet>(*p), 0);
+    fabric.InjectFromNi(n, MakePacket(*p), 0);
   engine.RunToQuiescence();
   return out;
 }
@@ -69,7 +69,7 @@ std::map<NodeId, std::pair<Cycles, Cycles>> RunFlit(
                   },
                   reg);
   for (const auto& [n, p] : txs)
-    flit.InjectFromNi(n, std::make_shared<Packet>(*p), 0);
+    flit.InjectFromNi(n, MakePacket(*p), 0);
   engine.RunToQuiescence();
   return out;
 }
@@ -98,7 +98,7 @@ TEST_P(EngineXCheck, UnicastZeroLoadAgreesExactly) {
 
 TEST_P(EngineXCheck, TreeWormZeroLoadAgreesExactly) {
   std::vector<NodeId> dests{3, 9, 14, 22, 27, 31};
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = 0;
   pkt->kind = HeaderKind::kTreeWorm;
@@ -502,7 +502,7 @@ WormholeOutcome RunWormhole(SchemeKind kind, std::uint64_t seed) {
     if (!forwarded.insert({m, u}).second) return;
     const McastPlan& plan = plans[static_cast<std::size_t>(m)];
     auto base = [&] {
-      auto pkt = std::make_shared<Packet>();
+      auto pkt = MakePacket();
       pkt->mcast_id = m;
       pkt->src = plan.root;
       pkt->data_flits = shape.packet_flits;

@@ -131,6 +131,117 @@ TEST(KBinomialPlan, NonParticipantsHaveNoChildren) {
 }
 
 
+// --- flat evaluation vs the nested-vector reference ---------------------
+
+/// The nested-vector capped-binomial builder and FPFS recurrence the
+/// flat planner replaced, kept verbatim as the reference.
+std::vector<std::vector<int>> ReferenceShape(int receivers, int k) {
+  std::vector<std::vector<int>> children(
+      static_cast<std::size_t>(receivers) + 1);
+  std::vector<int> have{0};
+  int next = 1;
+  while (next <= receivers) {
+    const std::size_t round_holders = have.size();
+    for (std::size_t i = 0; i < round_holders && next <= receivers; ++i) {
+      const int holder = have[i];
+      if (static_cast<int>(children[static_cast<std::size_t>(holder)].size()) >=
+          k)
+        continue;
+      children[static_cast<std::size_t>(holder)].push_back(next);
+      have.push_back(next);
+      ++next;
+    }
+  }
+  return children;
+}
+
+Cycles ReferenceFpfs(int receivers, int k, const MessageShape& shape,
+                     const HostParams& host, int wire_flits, Cycles net_pipe) {
+  const auto children = ReferenceShape(receivers, k);
+  const int m = shape.num_packets;
+  const Cycles dma = host.DmaCycles(shape.packet_flits);
+  const auto n = static_cast<std::size_t>(receivers) + 1;
+  std::vector<std::vector<Cycles>> pkt_avail(
+      n, std::vector<Cycles>(static_cast<std::size_t>(m), 0));
+  std::vector<Cycles> ni_free(n, 0);
+  for (int j = 0; j < m; ++j)
+    pkt_avail[0][static_cast<std::size_t>(j)] =
+        host.o_host + host.o_ni + static_cast<Cycles>(j + 1) * dma;
+  Cycles completion = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (int j = 0; j < m; ++j) {
+      for (int c : children[u]) {
+        const Cycles start =
+            std::max(ni_free[u], pkt_avail[u][static_cast<std::size_t>(j)]);
+        ni_free[u] = start + host.ni_forward_overhead + wire_flits;
+        pkt_avail[static_cast<std::size_t>(c)][static_cast<std::size_t>(j)] =
+            ni_free[u] + net_pipe;
+      }
+    }
+    if (u > 0) {
+      const Cycles done = pkt_avail[u][static_cast<std::size_t>(m - 1)] +
+                          dma + host.o_host;
+      completion = std::max(completion, done);
+    }
+  }
+  return completion;
+}
+
+TEST(FlatPlanner, MatchesNestedReferenceOverTheWholeGrid) {
+  // One scratch shared across the whole sweep, visited in an order that
+  // shrinks and regrows every buffer, so stale contents would show.
+  HostParams host;
+  host.ni_forward_overhead = 35;
+  KBinomialScratch scratch;
+  for (int receivers = 64; receivers >= 1; --receivers) {
+    for (int packets = 1; packets <= 8; ++packets) {
+      const MessageShape shape{64, packets};
+      for (int k = 1; k <= 8; ++k) {
+        const auto want = ReferenceShape(receivers, k);
+        EXPECT_EQ(BuildCappedBinomialShape(receivers, k), want)
+            << receivers << " receivers, k " << k;
+        EXPECT_EQ(EvalFpfsCompletion(receivers, k, shape, host, 66, 1009,
+                                     scratch),
+                  ReferenceFpfs(receivers, k, shape, host, 66, 1009))
+            << receivers << " receivers, k " << k << ", " << packets
+            << " packets";
+      }
+      int best_k = 1;
+      for (int k = 2; k <= 8; ++k)
+        if (ReferenceFpfs(receivers, k, shape, host, 66, 1009) <
+            ReferenceFpfs(receivers, best_k, shape, host, 66, 1009))
+          best_k = k;
+      EXPECT_EQ(ChooseK(receivers, shape, host, 66, 1009, 8, scratch), best_k)
+          << receivers << " receivers, " << packets << " packets";
+    }
+  }
+}
+
+TEST(FlatPlanner, RememberedKFollowsEveryModelInput) {
+  // A scheme reused across calls must choose the same k as a fresh one,
+  // also after its host parameters or the message shape change.
+  const auto sys = System::Build({}, 17);
+  KBinomialNiScheme reused;
+  for (int round = 0; round < 2; ++round) {
+    for (Cycles o_ni : {100, 500, 2000}) {
+      for (int packets : {1, 4, 16}) {
+        for (int size : {3, 15, 31}) {
+          reused.host.o_ni = o_ni;
+          KBinomialNiScheme fresh;
+          fresh.host = reused.host;
+          std::vector<NodeId> dests;
+          for (NodeId n = 1; n <= size; ++n) dests.push_back(n);
+          const MessageShape shape{128, packets};
+          const McastPlan a = reused.Plan(*sys, 0, dests, shape, {});
+          const McastPlan b = fresh.Plan(*sys, 0, dests, shape, {});
+          EXPECT_EQ(a.chosen_k, b.chosen_k);
+          EXPECT_EQ(a.children, b.children);
+        }
+      }
+    }
+  }
+}
+
 TEST(ChooseK, ModelPickNearSimulatedOptimumAcrossMessageLengths) {
   // The closed-form FPFS model need not be exact, but its chosen k must
   // stay within 15% of the best simulated k (the guarantee ablC relies

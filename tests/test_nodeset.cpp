@@ -116,5 +116,37 @@ TEST(NodeSet, WordBoundaryOps) {
   EXPECT_EQ(a.ToVector(), (std::vector<NodeId>{63}));
 }
 
+TEST(NodeSet, CopiesAndMovesAcrossInlineAndHeapStorage) {
+  // Up to kInlineBits members live inline; larger sets use the heap.
+  NodeSet big(NodeSet::kInlineBits + 44);
+  for (NodeId n : {0, 255, 256, 299}) big.Set(n);
+  NodeSet small(NodeSet::kInlineBits);
+  for (NodeId n : {1, 255}) small.Set(n);
+
+  NodeSet big_copy = big;
+  EXPECT_EQ(big_copy, big);
+  big_copy.Clear(299);
+  EXPECT_TRUE(big.Test(299));  // deep copy, not shared words
+
+  NodeSet target = small;  // inline -> heap by copy assignment
+  target = big;
+  EXPECT_EQ(target, big);
+  target = small;  // heap -> inline
+  EXPECT_EQ(target, small);
+
+  NodeSet moved = std::move(big_copy);
+  EXPECT_EQ(moved.ToVector(), (std::vector<NodeId>{0, 255, 256}));
+  target = std::move(moved);
+  EXPECT_EQ(target.Count(), 3);
+  NodeSet reused = std::move(target);
+  target = small;  // a moved-from set is assignable
+  EXPECT_EQ(target, small);
+  EXPECT_EQ(reused.capacity(), NodeSet::kInlineBits + 44);
+
+  NodeSet both(NodeSet::kInlineBits + 44);
+  both.AssignIntersection(big, reused);
+  EXPECT_EQ(both.ToVector(), (std::vector<NodeId>{0, 255, 256}));
+}
+
 }  // namespace
 }  // namespace irmc

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "common/rng.hpp"
 #include "core/executor.hpp"
 #include "topology/system.hpp"
 #include "trace/tracer.hpp"
@@ -52,6 +53,55 @@ TEST_P(PathWormSweep, CoverageCapRespected) {
   EXPECT_LE(static_cast<int>(capped.covered.size()), 2);
   const auto uncapped = FindBestCoveragePath(*sys_, 0, remaining, 99);
   EXPECT_GE(uncapped.covered.size(), capped.covered.size());
+}
+
+TEST_P(PathWormSweep, ReusedScratchMatchesFreshScratch) {
+  // One scratch across many searches with changing `remaining` sets,
+  // starts and caps must give what a fresh scratch gives every time.
+  const auto n = static_cast<std::size_t>(sys_->num_switches());
+  Rng rng(GetParam() * 977 + 1);
+  CoveragePathScratch reused;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<char> remaining(n, 0);
+    for (std::size_t s = 0; s < n; ++s) remaining[s] = rng.NextBool(0.4);
+    remaining[static_cast<std::size_t>(rng.NextBelow(n))] = 1;
+    const auto start = static_cast<SwitchId>(rng.NextBelow(n));
+    const int cap = 1 + static_cast<int>(rng.NextBelow(n));
+    const BestPathResult& got =
+        FindBestCoveragePath(*sys_, start, remaining, cap, reused);
+    const BestPathResult want =
+        FindBestCoveragePath(*sys_, start, remaining, cap);
+    EXPECT_EQ(got.switches, want.switches) << "trial " << trial;
+    EXPECT_EQ(got.ports, want.ports) << "trial " << trial;
+    EXPECT_EQ(got.covered, want.covered) << "trial " << trial;
+  }
+}
+
+TEST_P(PathWormSweep, ReusedSchemeMatchesFreshScheme) {
+  PathWormMdpLgScheme reused;
+  Rng rng(GetParam() * 31 + 7);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto src = static_cast<NodeId>(rng.NextBelow(32));
+    std::vector<NodeId> dests;
+    for (auto d : rng.SampleWithoutReplacement(31, 1 + trial % 20))
+      dests.push_back(static_cast<NodeId>(d >= src ? d + 1 : d));
+    const McastPlan a = reused.Plan(*sys_, src, dests, {}, {});
+    const McastPlan b = PathWormMdpLgScheme{}.Plan(*sys_, src, dests, {}, {});
+    ASSERT_EQ(a.worms.size(), b.worms.size()) << "trial " << trial;
+    for (std::size_t w = 0; w < a.worms.size(); ++w) {
+      EXPECT_EQ(a.worms[w].sender, b.worms[w].sender);
+      EXPECT_EQ(a.worms[w].covered, b.worms[w].covered);
+      EXPECT_EQ(a.worms[w].header_flits, b.worms[w].header_flits);
+      ASSERT_EQ(a.worms[w].route->steps.size(), b.worms[w].route->steps.size());
+      for (std::size_t i = 0; i < a.worms[w].route->steps.size(); ++i) {
+        EXPECT_EQ(a.worms[w].route->steps[i].sw, b.worms[w].route->steps[i].sw);
+        EXPECT_EQ(a.worms[w].route->steps[i].deliver,
+                  b.worms[w].route->steps[i].deliver);
+        EXPECT_EQ(a.worms[w].route->steps[i].forward_port,
+                  b.worms[w].route->steps[i].forward_port);
+      }
+    }
+  }
 }
 
 TEST_P(PathWormSweep, PlanPartitionsDestinations) {

@@ -20,12 +20,12 @@
 namespace irmc {
 namespace {
 
-PortLoadFn ZeroLoad() {
-  return [](SwitchId, PortId) { return 0; };
-}
+// PortLoadFn is non-owning: bind it to a callable with static storage.
+constexpr auto kZeroLoad = [](SwitchId, PortId) { return 0; };
+PortLoadFn ZeroLoad() { return kZeroLoad; }
 
 PacketPtr UnicastPkt(NodeId src, NodeId dst) {
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = src;
   pkt->kind = HeaderKind::kUnicast;
@@ -36,7 +36,7 @@ PacketPtr UnicastPkt(NodeId src, NodeId dst) {
 }
 
 PacketPtr TreePkt(NodeId src, int capacity, std::vector<NodeId> dests) {
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = src;
   pkt->kind = HeaderKind::kTreeWorm;
@@ -91,7 +91,7 @@ TEST(RouteLogicUnicast, DeterministicFollowsFirstCandidateIgnoringLoad) {
       sys.routing.Candidates(here, dest_sw, RoutePhase::kUpAllowed);
   const NodeId dst = sys.graph.HostsAt(dest_sw).front();
 
-  PortLoadFn load = [&cands](SwitchId, PortId p) {
+  const auto load = [&cands](SwitchId, PortId p) {
     return p == cands.front() ? 100 : 0;
   };
   std::vector<RouteBranch> det;
@@ -218,7 +218,7 @@ TEST(RouteLogicTree, DecisionFallsBackToAllUpsWhenNoPeerSuffices) {
 
   // Adaptive climb picks the least-loaded of those ups.
   std::vector<RouteBranch> out;
-  PortLoadFn load = [&d](SwitchId, PortId p) {
+  const auto load = [&d](SwitchId, PortId p) {
     return p == d.ports[0] ? 5 : 0;
   };
   ComputeRouteBranches(sys, 3, TreePkt(2, 3, {0, 1}), true, load, out);
@@ -243,7 +243,7 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
   route->steps.push_back({1, {1}, 1, 2});
   route->steps.push_back({2, {2}, kInvalidPort, 0});
 
-  auto pkt = std::make_shared<Packet>();
+  auto pkt = MakePacket();
   pkt->mcast_id = 1;
   pkt->src = 0;
   pkt->kind = HeaderKind::kPathWorm;
@@ -274,11 +274,15 @@ TEST(RouteLogicPath, StepsDeliverThenForwardAndStripHeaderFields) {
 
 TEST(RouteLogicHops, BranchesRecordTheirOwnHops) {
   const System sys = TwoSwitchSystem();
-  auto pkt = TreePkt(0, 3, {1, 2});
+  // A pooled packet, as the engines route them: replicas are drawn from
+  // the same slab and must fork their hop logs like free-standing ones.
+  PacketSlab slab;
+  PacketPtr pkt = slab.Make(*TreePkt(0, 3, {1, 2}));
   pkt->hop_log = std::make_shared<std::vector<HopRecord>>();
   std::vector<RouteBranch> out;
   ComputeRouteBranches(sys, 0, pkt, false, ZeroLoad(), out);
   ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(slab.live(), 3u);
   for (const RouteBranch& b : out) {
     ASSERT_NE(b.pkt->hop_log, nullptr);
     ASSERT_EQ(b.pkt->hop_log->size(), 1u);
@@ -287,7 +291,23 @@ TEST(RouteLogicHops, BranchesRecordTheirOwnHops) {
     // Forked per branch: the original log is untouched.
     EXPECT_NE(b.pkt->hop_log.get(), pkt->hop_log.get());
   }
+  EXPECT_NE(out[0].pkt->hop_log.get(), out[1].pkt->hop_log.get());
   EXPECT_TRUE(pkt->hop_log->empty());
+
+  // The forwarded branch keeps logging on its own at the next switch.
+  const RouteBranch& down =
+      out[0].port == sys.graph.host(1).port ? out[1] : out[0];
+  std::vector<RouteBranch> next;
+  ComputeRouteBranches(sys, 1, down.pkt, false, ZeroLoad(), next);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].pkt->hop_log->size(), 2u);
+  EXPECT_EQ(down.pkt->hop_log->size(), 1u);
+
+  // Every replica goes back to the slab once its holders let go.
+  next.clear();
+  out.clear();
+  pkt = nullptr;
+  EXPECT_EQ(slab.live(), 0u);
 }
 
 }  // namespace
